@@ -30,6 +30,9 @@ _TRIAL_BOUND = 1000  # strip factors below this before Pollard rho
 
 DEFAULT_SEGMENT_SIZE = 1 << 20  # flags per sieve segment
 DEFAULT_MAX_SPAN = 1 << 28  # widest [lo, hi] accepted by primes_in_range
+# Bytes a bulk table may hold at its peak: int32 entries over the widest span.
+TABLE_BUDGET_BYTES = 4 * DEFAULT_MAX_SPAN
+_SIEVE_WORK_BYTES = 8  # per entry: the factor sieve's two int32 work arrays
 
 
 @dataclass(frozen=True)
@@ -124,17 +127,120 @@ def is_prime(n: int) -> bool:
     return is_prime_info(n).probably_prime
 
 
-def _simple_sieve(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(limit) + 1):
+# ---------------------------------------------------------------------------
+# Sieves (numpy): prime flags, the factor sieve and the tables built on it.
+# Each table checks its memory need against TABLE_BUDGET_BYTES before it
+# allocates anything.
+
+
+def _check_table_budget(n: int, entry_bytes: int) -> None:
+    if n < 0:
+        raise ContractError(f"table size must be >= 0, got {n}")
+    need = (n + 1) * entry_bytes
+    if need > TABLE_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"tables up to {n} need {need} bytes, over the {TABLE_BUDGET_BYTES}-byte budget"
+        )
+
+
+def prime_flags(n: int) -> np.ndarray:
+    """Boolean array a with a[i] == (i prime), for 0 <= i <= n."""
+    _check_table_budget(n, 1)
+    flags = np.ones(n + 1, dtype=bool)
+    flags[:2] = False
+    for i in range(2, math.isqrt(n) + 1):
         if flags[i]:
-            step = i
-            start = i * i
-            flags[start :: step] = b"\x00" * ((limit - start) // step + 1)
-    return [i for i in range(limit + 1) if flags[i]]
+            flags[i * i :: i] = False
+    return flags
+
+
+def _factor_sieve(n: int, mark, cofactors: bool = True) -> np.ndarray | None:
+    """The one factor sieve behind every arithmetic table over [0, n].
+
+    Calls mark(p) for each prime p <= isqrt(n), largest first, so that a
+    plain assignment per prime leaves the smallest one; only these base
+    primes are sieved.  With `cofactors`, it also returns big with
+    big[m] = m / (isqrt(n)-smooth part of m): the one prime factor of m
+    above isqrt(n), or 1 (two such factors would multiply past n).  Callers
+    check the budget for their tables plus _SIEVE_WORK_BYTES per entry
+    before they allocate.
+    """
+    base = np.flatnonzero(prime_flags(math.isqrt(n)))[::-1].tolist()
+    if not cofactors:
+        for p in base:
+            mark(p)
+        return None
+    smooth = np.ones(n + 1, dtype=np.int32)
+    for p in base:
+        mark(p)
+        q = p
+        while q <= n:
+            smooth[q::q] *= p
+            q *= p
+    return np.floor_divide(np.arange(n + 1, dtype=np.int32), smooth, out=smooth)
+
+
+def spf_table(n: int) -> np.ndarray:
+    """Smallest prime factor of every 0 <= m <= n (int32; 0 at m = 0 and 1)."""
+    _check_table_budget(n, 4 + _SIEVE_WORK_BYTES)
+    spf = np.zeros(n + 1, dtype=np.int32)
+
+    def mark(p: int) -> None:
+        spf[p::p] = p
+
+    _factor_sieve(n, mark, cofactors=False)
+    # no base prime divides an unmarked m >= 2, so m is prime
+    unmarked = np.flatnonzero(spf[2:] == 0) + 2
+    spf[unmarked] = unmarked
+    return spf
+
+
+def phi_table(n: int) -> np.ndarray:
+    """phi(m) for all 0 <= m <= n, as int32."""
+    _check_table_budget(n, 4 + _SIEVE_WORK_BYTES)
+    phi = np.ones(n + 1, dtype=np.int32)
+
+    def mark(p: int) -> None:
+        phi[p::p] *= p - 1
+        q = p * p
+        while q <= n:
+            phi[q::q] *= p
+            q *= p
+
+    big = _factor_sieve(n, mark)
+    big -= big > 1  # phi(r) = r - 1 at the large prime r, 1 where there is none
+    phi *= big  # big[0] = 0 sets phi(0) = 0
+    return phi
+
+
+def omega_mobius_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """omega(m) and mu(m) for all 0 <= m <= n, as int8, from one sieve pass."""
+    _check_table_budget(n, 2 + _SIEVE_WORK_BYTES)
+    w = np.zeros(n + 1, dtype=np.int8)
+    mu = np.ones(n + 1, dtype=np.int8)
+
+    def mark(p: int) -> None:
+        w[p::p] += 1
+        multiples = mu[p::p]
+        np.negative(multiples, out=multiples)
+        mu[p * p :: p * p] = 0
+
+    big = _factor_sieve(n, mark)
+    has_big = big > 1
+    w += has_big
+    np.negative(mu, out=mu, where=has_big)
+    mu[0] = 0
+    return w, mu
+
+
+def omega_table(n: int) -> np.ndarray:
+    """omega(m) for all 0 <= m <= n, as int8."""
+    return omega_mobius_tables(n)[0]
+
+
+def mobius_table(n: int) -> np.ndarray:
+    """mu(m) for all 0 <= m <= n, as int8."""
+    return omega_mobius_tables(n)[1]
 
 
 def _default_segment_size() -> int:
@@ -167,20 +273,17 @@ def primes_in_range(
     if lo > hi:
         return PrimeRange(lo, hi, ())
     seg = segment_size if segment_size is not None else _default_segment_size()
-    base = _simple_sieve(math.isqrt(hi))
+    base = np.flatnonzero(prime_flags(math.isqrt(hi))).tolist()
     out: list[int] = []
     start = lo
     while start <= hi:
         end = min(start + seg - 1, hi)
-        width = end - start + 1
-        flags = bytearray([1]) * width
+        flags = np.ones(end - start + 1, dtype=bool)
         for p in base:
             first = max(p * p, (start + p - 1) // p * p)
-            if first > end:
-                continue
-            off = first - start
-            flags[off::p] = b"\x00" * ((width - off - 1) // p + 1)
-        out.extend(start + i for i in range(width) if flags[i])
+            if first <= end:
+                flags[first - start :: p] = False
+        out.extend((np.flatnonzero(flags) + start).tolist())
         start = end + 1
     # base primes inside the window survive: marking starts at p*p
     return PrimeRange(lo, hi, tuple(out))
@@ -244,7 +347,7 @@ def _brent_rho(n: int) -> int:
         c += 1
 
 
-_SMALL_PRIMES = _simple_sieve(_TRIAL_BOUND)
+_SMALL_PRIMES = np.flatnonzero(prime_flags(_TRIAL_BOUND)).tolist()
 
 
 def factorize(n: int) -> Factorization:
@@ -273,7 +376,8 @@ def factorize(n: int) -> Factorization:
         stack.append(d)
         stack.append(m // d)
     fac = Factorization(original, tuple(sorted(found.items())))
-    assert fac.recompose() == original
+    if fac.recompose() != original:
+        raise ArithmeticError(f"factors of {original} recompose to {fac.recompose()}")
     return fac
 
 
@@ -311,45 +415,3 @@ def squarefree_divisors(f: Factorization) -> list[tuple[int, int]]:
         divs += [(d * p, -mu) for d, mu in divs]
     divs.sort()
     return divs
-
-
-# ---------------------------------------------------------------------------
-# Bulk tables (sieve style, numpy) used by the survey module.
-
-
-def prime_flags(n: int) -> np.ndarray:
-    """Boolean array a with a[i] == (i prime), for 0 <= i <= n."""
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for i in range(2, math.isqrt(n) + 1):
-        if flags[i]:
-            flags[i * i :: i] = False
-    return flags
-
-
-def phi_table(n: int) -> np.ndarray:
-    """phi(m) for all 0 <= m <= n via a prime-slicing sieve."""
-    phi = np.arange(n + 1, dtype=np.int64)
-    for p in np.flatnonzero(prime_flags(n)):
-        phi[p::p] -= phi[p::p] // p
-    return phi
-
-
-def omega_table(n: int) -> np.ndarray:
-    """omega(m) for all 0 <= m <= n."""
-    w = np.zeros(n + 1, dtype=np.int64)
-    for p in np.flatnonzero(prime_flags(n)):
-        w[p::p] += 1
-    return w
-
-
-def mobius_table(n: int) -> np.ndarray:
-    """mu(m) for all 0 <= m <= n."""
-    mu = np.ones(n + 1, dtype=np.int64)
-    for p in np.flatnonzero(prime_flags(n)):
-        mu[p::p] *= -1
-        sq = int(p) * int(p)
-        if sq <= n:
-            mu[sq::sq] = 0
-    mu[0] = 0
-    return mu

@@ -327,6 +327,8 @@ def random_bound_trials(
 
     rng = random.Random(seed)
     primes = [p for p in primes_upto(max_prime) if p >= 3]
+    if not primes:
+        raise ContractError(f"no odd prime <= max_prime = {max_prime} to sample")
     reports = []
     for _ in range(trials):
         p = rng.choice(primes)

@@ -111,7 +111,7 @@ def _cmd_least(config: RunConfig) -> None:
 
 def _cmd_lift(config: RunConfig) -> None:
     p = config.params["p"]
-    mode = config.params.get("mode") or "residue"
+    mode = config.params["mode"]
     if mode in ("residue", "pairs") and "tau" not in config.params:
         raise ContractError(f"--tau is required for lift mode {mode!r}")
     if mode == "residue":
@@ -125,7 +125,7 @@ def _cmd_lift(config: RunConfig) -> None:
         )
     elif mode == "pairs":
         tau = config.params["tau"]
-        rep = roots.lift_pair_check(tau, p, config.params.get("kmax") or 4)
+        rep = roots.lift_pair_check(tau, p, config.params["kmax"])
         steps = [
             {
                 "k": s.k,
@@ -147,7 +147,7 @@ def _cmd_lift(config: RunConfig) -> None:
             ],
         )
     elif mode == "enumerate":
-        k = config.params.get("k") or 1
+        k = config.params["k"]
         spec_p = CyclicGroupSpec.for_prime(p)
         level = [g for g in range(1, p + 1) if roots.is_primitive_root(g, spec_p)]
         for lvl in range(1, k):
@@ -164,7 +164,7 @@ def _cmd_lift(config: RunConfig) -> None:
 
 
 def _cmd_psi(config: RunConfig) -> None:
-    formula = config.params.get("formula") or "indicator"
+    formula = config.params["formula"]
     if formula == "indicator":
         if "u" not in config.params or "n" not in config.params:
             raise ContractError("indicator mode needs --u and --n")
@@ -208,9 +208,9 @@ def _cmd_psi(config: RunConfig) -> None:
 
 
 def _cmd_charsum(config: RunConfig) -> None:
-    trials = config.params.get("trials") or 10
-    additive = bool(config.params.get("additive"))
-    max_prime = config.params.get("p") or 499
+    trials = config.params["trials"]
+    additive = config.params["additive"]
+    max_prime = config.params["p"]
     reports = characters.random_bound_trials(
         trials, seed=config.seed, max_prime=max_prime, additive=additive
     )
@@ -245,7 +245,7 @@ def _cmd_charsum(config: RunConfig) -> None:
 
 
 def _cmd_constants(config: RunConfig) -> None:
-    count = config.params.get("prime_count") or 10_000
+    count = config.params["prime_count"]
     rep = surveys.density_constants(count)
     _render(config, rep.as_dict())
 
@@ -290,7 +290,7 @@ def _cmd_gs_stats(config: RunConfig) -> None:
 
 
 def _cmd_totient(config: RunConfig) -> None:
-    rep = surveys.totient_ratio_sum(config.params["x"], config.params.get("k") or 1)
+    rep = surveys.totient_ratio_sum(config.params["x"], config.params["k"])
     _render(config, rep.as_dict())
 
 
@@ -329,6 +329,14 @@ def dispatch(config: RunConfig) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts and exponents: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="primroot",
@@ -357,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--tau", type=int, help="primitive root mod p (residue/pairs modes)")
     sp.add_argument("--mode", choices=("residue", "pairs", "enumerate"), default="residue")
-    sp.add_argument("--kmax", type=int, default=4)
-    sp.add_argument("--k", type=int, default=1, help="enumerate: lift from p^k to p^(k+1)")
+    sp.add_argument("--kmax", type=positive_int, default=4)
+    sp.add_argument("--k", type=positive_int, default=1, help="enumerate: lift from p^k to p^(k+1)")
 
     sp = sub.add_parser("psi", parents=[common], help="characteristic function values")
     sp.add_argument("--formula", choices=("indicator", "s", "n"), default="indicator")
@@ -368,12 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, help="prime (s/n modes)")
 
     sp = sub.add_parser("charsum", parents=[common], help="seeded character-sum bound trials")
-    sp.add_argument("--trials", type=int, default=10)
-    sp.add_argument("--p", type=int, default=499, help="largest prime modulus sampled")
+    sp.add_argument("--trials", type=positive_int, default=10)
+    sp.add_argument("--p", type=positive_int, default=499, help="largest prime modulus sampled")
     sp.add_argument("--additive", action="store_true")
 
     sp = sub.add_parser("constants", parents=[common], help="Euler products a1, a2, c2, c3")
-    sp.add_argument("--primes", type=int, default=10_000, dest="prime_count")
+    sp.add_argument("--primes", type=positive_int, default=10_000, dest="prime_count")
 
     sp = sub.add_parser("survey", parents=[common], help="stationary counts over [x, 2x]")
     sp.add_argument("--x", type=int, required=True)
@@ -399,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("totient", parents=[common], help="sum of (phi(p-1)/(p-1))^k")
     sp.add_argument("--x", type=int, required=True)
-    sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--k", type=positive_int, default=1)
 
     return parser
 

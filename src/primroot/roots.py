@@ -164,6 +164,22 @@ def is_primitive_root_2pk(g: int, p: int, k: int) -> bool:
     return pow(g, p - 1, 2 * p * p) != 1
 
 
+def _classify_unit(u: int, p: int, primes_p1) -> RootClass:
+    """Classify a unit u mod the odd prime p, given the distinct primes of p-1.
+
+    Unchecked kernel: the caller has validated p and u % p != 0, and
+    primes_p1 (any iterable, read only as far as needed) is exactly the set
+    of primes dividing p-1.  The p^2 test reads u itself, not u % p.
+    """
+    p1 = p - 1
+    for q in primes_p1:
+        if pow(u, p1 // q, p) == 1:
+            return RootClass.NOT_ROOT
+    if pow(u, p1, p * p) != 1:
+        return RootClass.STATIONARY
+    return RootClass.NONSTATIONARY
+
+
 def classify(g: int, p: int, fac_p1: Factorization | None = None) -> RootClass:
     """Classify g relative to p: NotCoprime, NotRoot, Nonstationary, Stationary."""
     if g < 1:
@@ -172,11 +188,7 @@ def classify(g: int, p: int, fac_p1: Factorization | None = None) -> RootClass:
     if g % p == 0:
         return RootClass.NOT_COPRIME
     fac = fac_p1 if fac_p1 is not None else factorize(p - 1)
-    if any(pow(g, (p - 1) // q, p) == 1 for q, _ in fac.factors):
-        return RootClass.NOT_ROOT
-    if pow(g, p - 1, p * p) != 1:
-        return RootClass.STATIONARY
-    return RootClass.NONSTATIONARY
+    return _classify_unit(g, p, [q for q, _ in fac.factors])
 
 
 def bad_lift_residue(root: int, p: int) -> int:
@@ -193,7 +205,8 @@ def bad_lift_residue(root: int, p: int) -> int:
     # 1 - root**(p-1) is divisible by p by Fermat; the quotient is taken mod p
     q = (1 - fermat) % p2 // p
     a = q * inv_mod((p - 1) * pow(root, p - 2, p) % p, p) % p
-    assert pow_mod(root + a * p, p - 1, p2) == 1
+    if pow_mod(root + a * p, p - 1, p2) != 1:
+        raise ArithmeticError(f"closed-form residue {a} does not fail to lift {root} mod {p}^2")
     return a
 
 
@@ -214,10 +227,12 @@ def least_roots(p: int) -> LeastRoots:
     the full generator test whenever the candidate already generates mod p;
     a generator mod p^2 always reduces to one mod p, so gs coincides with h.
     """
-    if p < 3 or not is_prime(p):
-        raise ContractError(f"{p} is not an odd prime")
-    fac = factorize(p - 1)
-    spec_p = CyclicGroupSpec.for_prime(p)
+    return _least_roots(CyclicGroupSpec.for_prime(p))
+
+
+def _least_roots(spec_p: CyclicGroupSpec) -> LeastRoots:
+    """least_roots for the already validated spec of a prime."""
+    p = spec_p.prime
     p2 = p * p
     g = h = 0
     cand = 2

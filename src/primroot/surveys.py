@@ -14,16 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .arith import (
-    factorize,
     first_primes,
     is_prime,
-    mobius_table,
-    omega_table,
+    omega_mobius_tables,
     phi_table,
-    prime_flags,
     primes_in_range,
     primes_upto,
+    spf_table,
 )
 from .errors import ContractError
 from .modmath import multiplicative_order
@@ -31,7 +31,8 @@ from .roots import (
     CyclicGroupSpec,
     LeastRoots,
     RootClass,
-    classify,
+    _classify_unit,
+    _least_roots,
     least_roots,
 )
 
@@ -338,15 +339,18 @@ def survey_row(p: int, z: int) -> SurveyRow:
     """Counts over g in [2, 2z] for one prime, plus its least roots."""
     if 2 * z >= p * p:
         raise ContractError(f"2z = {2 * z} reaches p^2 = {p * p}; counts undefined")
-    fac = factorize(p - 1)
+    spec = CyclicGroupSpec.for_prime(p)  # validates p once for the whole row
+    primes_p1 = [q for q, _ in spec.order_factorization.factors]
     n_s = n_n = 0
     for g in range(2, 2 * z + 1):
-        cls = classify(g, p, fac)
+        if g % p == 0:
+            continue
+        cls = _classify_unit(g, p, primes_p1)
         if cls is RootClass.STATIONARY:
             n_s += 1
         elif cls is RootClass.NONSTATIONARY:
             n_n += 1
-    return SurveyRow(p=p, z=z, n_pr=n_s + n_n, n_s=n_s, n_n=n_n, least=least_roots(p))
+    return SurveyRow(p=p, z=z, n_pr=n_s + n_n, n_s=n_s, n_n=n_n, least=_least_roots(spec))
 
 
 def _survey_worker(args: tuple[int, int]) -> SurveyRow:
@@ -488,15 +492,12 @@ def fixed_g_density(g: int, x: int) -> FixedGDensity:
         raise ContractError(f"g = {g} excluded (unit or perfect square)")
     if x < 3:
         raise ContractError(f"need x >= 3, got {x}")
-    primes = primes_upto(x)
+    spf = spf_table(x)
+    primes = (np.flatnonzero(spf[2:] == np.arange(2, x + 1, dtype=np.int32)) + 2).tolist()
     hits = 0
-    for p in primes:
-        if p == 2:
-            continue
+    for p in primes[1:]:  # p = 2 never counts
         u = g % p
-        if u == 0:
-            continue
-        if classify(u, p) is RootClass.STATIONARY:
+        if u and _classify_unit(u, p, _prime_divisors(p - 1, spf)) is RootClass.STATIONARY:
             hits += 1
     return FixedGDensity(
         g=g,
@@ -505,6 +506,16 @@ def fixed_g_density(g: int, x: int) -> FixedGDensity:
         prime_count=len(primes),
         fraction=hits / len(primes),
     )
+
+
+def _prime_divisors(m: int, spf: np.ndarray):
+    """The distinct primes of m >= 1, ascending, read off a smallest-prime-factor table."""
+    while m > 1:
+        q = int(spf[m])
+        yield q
+        m //= q
+        while m % q == 0:
+            m //= q
 
 
 # ---------------------------------------------------------------------------
@@ -550,18 +561,14 @@ def omega_sums(x: int) -> OmegaSumsReport:
     """Sum 2^omega(n) over n <= x and three shifted-prime sums, via sieves."""
     if x < 2:
         raise ContractError(f"need x >= 2, got {x}")
-    import numpy as np
-
-    w = omega_table(x)
-    mu = mobius_table(x)
-    flags = prime_flags(x)
-    primes = np.flatnonzero(flags)
-    pow2 = np.left_shift(np.int64(1), w)
-    total_all = int(pow2[1:].sum())
-    shifted_idx = primes - 1
-    total_shifted = int(pow2[shifted_idx].sum())
-    mu_omega = int((mu[shifted_idx] * w[shifted_idx]).sum())
-    omega_shifted = int(w[shifted_idx].sum())
+    w, mu = omega_mobius_tables(x)
+    primes = np.flatnonzero((w == 1) & (mu == -1))  # squarefree with one prime: prime
+    w_shifted = w[primes - 1]
+    mu_shifted = mu[primes - 1]
+    total_all = _sum_two_pow(w[1:])
+    total_shifted = _sum_two_pow(w_shifted)
+    mu_omega = int((mu_shifted * w_shifted).sum())
+    omega_shifted = int(w_shifted.sum())
     n_primes = len(primes)
     lx = math.log(x)
     return OmegaSumsReport(
@@ -578,6 +585,14 @@ def omega_sums(x: int) -> OmegaSumsReport:
         omega_shifted_per_prime=omega_shifted / n_primes,
         mu_omega_per_prime=mu_omega / n_primes,
     )
+
+
+def _sum_two_pow(w: np.ndarray) -> int:
+    """Sum of 2**w over an array of small non-negative ints, by value counts.
+
+    Counted one value at a time: np.bincount would first copy w to intp.
+    """
+    return sum(int(np.count_nonzero(w == k)) << k for k in range(int(w.max()) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +659,8 @@ def period(base: int, p: int, k: int) -> PeriodResult:
     rep_len = None
     if spec.modulus <= LONG_DIVISION_LIMIT:
         rep_len = len(repetend_digits(1, spec.modulus, base))
-        assert rep_len == t, f"long division found period {rep_len}, order is {t}"
+        if rep_len != t:
+            raise ArithmeticError(f"long division found period {rep_len}, order is {t}")
     return PeriodResult(
         base=base,
         p=p,

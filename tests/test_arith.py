@@ -1,10 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import naive_is_prime, naive_primes
+from primroot import arith
 from primroot.arith import (
+    TABLE_BUDGET_BYTES,
     euler_phi,
     factorization_times_prime,
     factorize,
@@ -14,10 +17,13 @@ from primroot.arith import (
     mobius,
     mobius_table,
     omega,
+    omega_mobius_tables,
     omega_table,
     phi_table,
+    prime_flags,
     primes_in_range,
     primes_upto,
+    spf_table,
     squarefree_divisors,
 )
 from primroot.errors import ContractError, ResourceLimitError
@@ -126,6 +132,13 @@ def test_factorize_recomposes_random():
         assert all(is_prime(p) for p, _ in f.factors)
 
 
+def test_factorize_recompose_check_raises(monkeypatch):
+    # the recompose check is a raise, not an assert, so it holds under python -O
+    monkeypatch.setattr(arith, "_brent_rho", lambda n: 2)
+    with pytest.raises(ArithmeticError):
+        factorize(1000003 * 999983)
+
+
 def test_factorize_deterministic():
     semiprime = 1000003 * 999983
     assert factorize(semiprime).factors == factorize(semiprime).factors
@@ -181,12 +194,36 @@ def test_squarefree_divisor_count_is_two_to_omega():
 
 
 def test_tables_match_pointwise_functions():
-    n = 3000
-    phi = phi_table(n)
-    w = omega_table(n)
-    mu = mobius_table(n)
-    for m in range(1, n + 1):
-        f = factorize(m)
-        assert phi[m] == euler_phi(f)
-        assert w[m] == omega(f)
-        assert mu[m] == mobius(f)
+    # 2209 = 47^2 sits on the isqrt(n) cut-off; 3000 leaves many m with one
+    # prime factor above isqrt(n) for the cofactor fix-up
+    for n in (1, 2, 3, 4, 2209, 3000):
+        phi = phi_table(n)
+        w = omega_table(n)
+        mu = mobius_table(n)
+        spf = spf_table(n)
+        assert len(phi) == len(w) == len(mu) == len(spf) == n + 1
+        assert (phi[0], w[0], mu[0], spf[0]) == (0, 0, 0, 0)
+        for m in range(1, n + 1):
+            f = factorize(m)
+            assert phi[m] == euler_phi(f), (n, m)
+            assert w[m] == omega(f), (n, m)
+            assert mu[m] == mobius(f), (n, m)
+            assert spf[m] == (f.factors[0][0] if f.factors else 0), (n, m)
+
+
+def test_table_dtypes_are_narrow():
+    w, mu = omega_mobius_tables(100)
+    assert w.dtype == mu.dtype == np.int8
+    assert phi_table(100).dtype == spf_table(100).dtype == np.int32
+    assert (w == omega_table(100)).all() and (mu == mobius_table(100)).all()
+
+
+@pytest.mark.parametrize(
+    "table", [prime_flags, phi_table, omega_table, mobius_table, spf_table, omega_mobius_tables]
+)
+def test_tables_refuse_sizes_over_budget(table):
+    # refused before any allocation, so this allocates nothing
+    with pytest.raises(ResourceLimitError, match="budget"):
+        table(TABLE_BUDGET_BYTES)
+    with pytest.raises(ContractError):
+        table(-1)

@@ -171,6 +171,34 @@ def test_contract_errors_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["totient", "--x", "100", "--k"], "--k"),
+        (["constants", "--primes"], "--primes"),
+        (["lift", "--p", "43", "--tau", "19", "--mode", "pairs", "--kmax"], "--kmax"),
+        (["lift", "--p", "5", "--mode", "enumerate", "--k"], "--k"),
+        (["charsum", "--trials"], "--trials"),
+        (["charsum", "--p"], "--p"),
+    ],
+)
+def test_explicit_nonpositive_values_exit_2(capsys, argv, flag, value):
+    # an explicit 0 used to fall back to the default silently
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
+
+def test_table_over_budget_exits_2(capsys):
+    # the budget check runs before any allocation, so this allocates nothing
+    rc, out, err = run_cli(capsys, "omega", "--x", "10000000000")
+    assert rc == 2
+    assert out == ""
+    assert "error:" in err and "budget" in err
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])

@@ -114,6 +114,15 @@ def test_is_primitive_root_2pk_matches_full_lucas():
                 assert is_primitive_root_2pk(g, p, k) == is_primitive_root(g, spec), (g, p, k)
 
 
+def test_bad_lift_check_raises(monkeypatch):
+    # the re-verification is a raise, not an assert, so it holds under python -O
+    import primroot.roots as roots_mod
+
+    monkeypatch.setattr(roots_mod, "inv_mod", lambda a, n: 1)
+    with pytest.raises(ArithmeticError):
+        bad_lift_residue(3, 43)  # stationary, so its failing residue is nonzero
+
+
 def test_classify_examples():
     assert classify(19, 43) is RootClass.NONSTATIONARY
     assert classify(5, 40487) is RootClass.NONSTATIONARY

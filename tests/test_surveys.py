@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import naive_classify_counts, naive_order, naive_repetend_length
-from primroot.arith import factorize, first_primes, omega, primes_upto
+from primroot.arith import factorize, first_primes, is_prime, omega, primes_upto
 from primroot.errors import ContractError
 from primroot.surveys import (
     KNOWN_LEAST_ROOT_EXCEPTIONS,
@@ -324,3 +324,27 @@ def test_least_gs_stats_1e5_report():
     )
     assert rep.count == len([p for p in primes_upto(10**5) if p > 2])
     assert rep.mean_gs > 2
+
+
+def test_period_cross_check_raises(monkeypatch):
+    # the long-division cross-check is a raise, not an assert, so it holds under python -O
+    import primroot.surveys as surveys_mod
+
+    monkeypatch.setattr(surveys_mod, "repetend_digits", lambda *args: [0])
+    with pytest.raises(ArithmeticError):
+        period(10, 7, 2)
+
+
+def test_survey_row_validates_p_once(monkeypatch):
+    import primroot.roots as roots_mod
+
+    checked = []
+
+    def counting_is_prime(n):
+        checked.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(roots_mod, "is_prime", counting_is_prime)
+    row = survey_row(1009, 100)
+    assert checked == [1009]
+    assert (row.n_pr, row.n_s, row.n_n) == naive_classify_counts(1009, 100)
