@@ -32,7 +32,7 @@ DEFAULT_SEGMENT_SIZE = 1 << 20  # flags per sieve segment
 DEFAULT_MAX_SPAN = 1 << 28  # widest [lo, hi] accepted by primes_in_range
 # Bytes a bulk table may hold at its peak: int32 entries over the widest span.
 TABLE_BUDGET_BYTES = 4 * DEFAULT_MAX_SPAN
-_SIEVE_WORK_BYTES = 8  # per entry: the factor sieve's two int32 work arrays
+_SIEVE_WORK_BYTES = 5  # per entry: the factor sieve's int32 cofactors and one bool mask
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,10 @@ def _factor_sieve(n: int, mark, cofactors: bool = True) -> np.ndarray | None:
         while q <= n:
             smooth[q::q] *= p
             q *= p
-    return np.floor_divide(np.arange(n + 1, dtype=np.int32), smooth, out=smooth)
+    for lo in range(0, n + 1, DEFAULT_SEGMENT_SIZE):  # m / smooth[m], in place
+        block = smooth[lo : lo + DEFAULT_SEGMENT_SIZE]
+        np.floor_divide(np.arange(lo, lo + len(block), dtype=np.int32), block, out=block)
+    return smooth
 
 
 def spf_table(n: int) -> np.ndarray:

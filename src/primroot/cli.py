@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -34,11 +35,49 @@ class RunConfig:
 
 
 def _emit(config: RunConfig, text: str) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if config.output:
-        with open(config.output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        _write_output(config.output, text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
+
+
+def _write_output(path: str, text: str) -> None:
+    """Write text to path; an unwritable path is a usage error.
+
+    A regular file, or a new one, is written through a temporary file beside
+    it and renamed over it, so a failed write leaves no partial file.  A
+    device, FIFO or symlink is written in place, and so is an existing file
+    whose directory takes no new files.
+    """
+    try:
+        if _replaceable(path):
+            _write_replacing(path, text)
+        else:
+            with open(path, "w") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise ContractError(f"cannot write --output {path}: {exc.strerror or exc}") from exc
+
+
+def _replaceable(path: str) -> bool:
+    if not os.path.lexists(path):
+        return True
+    if os.path.islink(path) or not os.path.isfile(path):
+        return False
+    return os.access(os.path.dirname(path) or ".", os.W_OK)
+
+
+def _write_replacing(path: str, text: str) -> None:
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _render(config: RunConfig, payload: dict, csv_lines: list[str] | None = None) -> None:

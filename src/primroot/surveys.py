@@ -12,11 +12,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .arith import (
+    _check_table_budget,
     first_primes,
     is_prime,
     omega_mobius_tables,
@@ -32,11 +33,24 @@ from .roots import (
     LeastRoots,
     RootClass,
     _classify_unit,
+    _count_roots_batch,
+    _g_levels,
     _least_roots,
+    _stationary_batch,
     least_roots,
 )
 
 SCHEMA_VERSION = 1
+
+SURVEY_BLOCK_CELLS = 1 << 14  # at most this many (p, g) pairs per stationary_survey block
+# Peak bytes per g in one worker of stationary_survey: the cached g tables
+# (8), an int32 Fermat quotient and Lucas residue row, a not-root flag and
+# temporaries.  tracemalloc measured 24.0 at 2z = 2e6 and 6e6 and 28.6 at
+# 2z = 2e4, for one prime with nine primes in p-1 (the most below 2**29).
+SURVEY_CELL_BYTES = 32
+LEAST_ROOTS_BLOCK = 16  # primes per task in the least-root scans
+FIXED_G_BLOCK = 1 << 20  # integers per fixed_g_density pass (~80k primes)
+PROGRESS_EVERY = 256  # rows between progress reports
 
 FIXED_POINT_BITS = 128  # fractional bits for large accumulations
 EXACT_SUM_LIMIT = 10_000  # exact Fraction accumulation up to this x
@@ -106,10 +120,11 @@ def euler_product_constant(k: int, prime_count: int) -> EulerProductEntry:
         raise ContractError("k and prime_count must be >= 1")
     terms = []
     for p in first_primes(prime_count):
-        f = local_factor(p, k)
-        terms.append(math.log1p(-(p**k - (p - 1) ** k) / (p**k * (p - 1))))
-        if f <= 0:
+        num = p**k - (p - 1) ** k
+        den = p**k * (p - 1)
+        if num >= den:  # exactly: local_factor(p, k) = 1 - num/den <= 0
             raise ArithmeticError(f"local factor at {p} not positive")
+        terms.append(math.log1p(-num / den))
     return EulerProductEntry(k=k, prime_count=prime_count, value=math.exp(math.fsum(terms)))
 
 
@@ -336,7 +351,11 @@ def parse_survey_csv(text: str) -> list[SurveyRow]:
 
 
 def survey_row(p: int, z: int) -> SurveyRow:
-    """Counts over g in [2, 2z] for one prime, plus its least roots."""
+    """Counts over g in [2, 2z] for one prime, plus its least roots.
+
+    A scalar loop for any odd prime p: the reference the batch kernel behind
+    stationary_survey is tested against.
+    """
     if 2 * z >= p * p:
         raise ContractError(f"2z = {2 * z} reaches p^2 = {p * p}; counts undefined")
     spec = CyclicGroupSpec.for_prime(p)  # validates p once for the whole row
@@ -353,27 +372,49 @@ def survey_row(p: int, z: int) -> SurveyRow:
     return SurveyRow(p=p, z=z, n_pr=n_s + n_n, n_s=n_s, n_n=n_n, least=_least_roots(spec))
 
 
-def _survey_worker(args: tuple[int, int]) -> SurveyRow:
-    return survey_row(*args)
+def _survey_block(primes: tuple[int, ...], z: int) -> list[SurveyRow]:
+    """survey_row for each prime of a block, classified by the batch kernel."""
+    specs = [CyclicGroupSpec.for_prime(p) for p in primes]  # validates each p once
+    n_s, n_n = _count_roots_batch(
+        primes, [[q for q, _ in s.order_factorization.factors] for s in specs], 2 * z
+    )
+    return [
+        SurveyRow(p=p, z=z, n_pr=int(s + n), n_s=int(s), n_n=int(n), least=_least_roots(spec))
+        for p, spec, s, n in zip(primes, specs, n_s, n_n)
+    ]
 
 
-def _window_map(fn, items, workers: int, progress=None):
+def _least_roots_block(primes: tuple[int, ...]) -> list[LeastRoots]:
+    return [least_roots(p) for p in primes]
+
+
+def _blocks(items: list, size: int) -> list[tuple]:
+    return [tuple(items[i : i + size]) for i in range(0, len(items), size)]
+
+
+def _window_map(fn, blocks: list[tuple], workers: int, progress=None) -> list:
+    """Concatenated fn(block) over the blocks, in block order.
+
+    fn returns one result per item of its block.  progress(done, total) is
+    called whenever the count of results passes a multiple of PROGRESS_EVERY.
+    """
+    total = sum(len(b) for b in blocks)
     if workers <= 1:
-        out = []
-        for i, item in enumerate(items):
-            out.append(fn(item))
-            if progress and (i + 1) % 256 == 0:
-                progress(i + 1, len(items))
-        return out
+        return _collect(map(fn, blocks), total, progress)
     import multiprocessing
 
     with multiprocessing.Pool(workers) as pool:
-        out = []
-        for i, res in enumerate(pool.imap(fn, items, chunksize=16)):
-            out.append(res)
-            if progress and (i + 1) % 256 == 0:
-                progress(i + 1, len(items))
-        return out
+        return _collect(pool.imap(fn, blocks), total, progress)
+
+
+def _collect(results, total: int, progress) -> list:
+    out: list = []
+    for res in results:
+        before = len(out)
+        out.extend(res)
+        if progress and len(out) // PROGRESS_EVERY > before // PROGRESS_EVERY:
+            progress(len(out), total)
+    return out
 
 
 def stationary_survey(
@@ -386,12 +427,20 @@ def stationary_survey(
     """
     if x < 2 or z < 2:
         raise ContractError("need x >= 2 and z >= 2")
+    # every worker holds the g tables and at least one prime's block
+    _check_table_budget(2 * z * max(1, workers), SURVEY_CELL_BYTES)
     primes = [p for p in primes_in_range(x, 2 * x).primes if p % 2 == 1]
     if not primes:
         raise ContractError(f"no odd primes in [{x}, {2 * x}]")
     if 2 * z >= primes[0] ** 2:
         raise ContractError(f"2z = {2 * z} reaches p^2 for p = {primes[0]}")
-    rows = _window_map(_survey_worker, [(p, z) for p in primes], workers, progress)
+    # a power of two up to PROGRESS_EVERY, so that block ends fall on its multiples
+    per_block = min(PROGRESS_EVERY, 1 << (max(1, SURVEY_BLOCK_CELLS // (2 * z)).bit_length() - 1))
+    blocks = _blocks(primes, per_block)
+    try:
+        rows = _window_map(partial(_survey_block, z=z), blocks, workers, progress)
+    finally:
+        _g_levels.cache_clear()  # the g tables of this z are not needed again
     n_s = sum(r.n_s for r in rows)
     n_n = sum(r.n_n for r in rows)
     n_pr = sum(r.n_pr for r in rows)
@@ -439,7 +488,7 @@ def least_root_agreement(x: int, workers: int = 1, progress=None) -> AgreementRe
     if x < 2:
         raise ContractError(f"need x >= 2, got {x}")
     primes = [p for p in primes_in_range(x, 2 * x).primes if p % 2 == 1]
-    results = _window_map(least_roots, primes, workers, progress)
+    results = _window_map(_least_roots_block, _blocks(primes, LEAST_ROOTS_BLOCK), workers, progress)
     exceptions = tuple(r for r in results if r.g != r.h)
     return AgreementReport(
         x=x,
@@ -493,29 +542,57 @@ def fixed_g_density(g: int, x: int) -> FixedGDensity:
     if x < 3:
         raise ContractError(f"need x >= 3, got {x}")
     spf = spf_table(x)
-    primes = (np.flatnonzero(spf[2:] == np.arange(2, x + 1, dtype=np.int32)) + 2).tolist()
+    prime_count = 1  # p = 2 counts in the denominator only
     hits = 0
-    for p in primes[1:]:  # p = 2 never counts
-        u = g % p
-        if u and _classify_unit(u, p, _prime_divisors(p - 1, spf)) is RootClass.STATIONARY:
-            hits += 1
+    for lo in range(3, x + 1, FIXED_G_BLOCK):
+        hi = min(lo + FIXED_G_BLOCK, x + 1)
+        p = np.flatnonzero(spf[lo:hi] == np.arange(lo, hi, dtype=np.int32)) + lo
+        if not len(p):  # a block can hold no prime, e.g. [3 + 2**20, 2**20 + 6]
+            continue
+        owner, q = _prime_divisor_pairs(p - 1, spf)
+        hits += int(np.count_nonzero(_stationary_batch(_int_mod(g, p), p, owner, q)))
+        prime_count += len(p)
     return FixedGDensity(
         g=g,
         x=x,
         stationary_count=hits,
-        prime_count=len(primes),
-        fraction=hits / len(primes),
+        prime_count=prime_count,
+        fraction=hits / prime_count,
     )
 
 
-def _prime_divisors(m: int, spf: np.ndarray):
-    """The distinct primes of m >= 1, ascending, read off a smallest-prime-factor table."""
-    while m > 1:
-        q = int(spf[m])
-        yield q
+def _prime_divisor_pairs(m: np.ndarray, spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, q): every distinct prime q of m[owner], read off a smallest-prime-factor table.
+
+    One pass per distinct prime: each pass takes the smallest prime left in
+    every m > 1 and divides it out completely.
+    """
+    owners, qs = [], []
+    idx = np.arange(len(m))
+    m = m.astype(np.int64)
+    while True:
+        keep = m > 1
+        idx, m = idx[keep], m[keep]
+        if not len(m):
+            return np.concatenate(owners), np.concatenate(qs)
+        q = spf[m].astype(np.int64)
+        owners.append(idx)
+        qs.append(q)
         m //= q
-        while m % q == 0:
-            m //= q
+        while (again := m % q == 0).any():
+            m[again] //= q[again]
+
+
+def _int_mod(n: int, p: np.ndarray) -> np.ndarray:
+    """n mod p for a Python int of any size and int64 primes p < 2**31.
+
+    Horner over 31-bit limbs of |n|: r * 2**31 + limb stays below 2**63.
+    """
+    m = abs(n)
+    r = np.zeros_like(p)
+    for shift in range(m.bit_length() // 31 * 31, -1, -31):
+        r = ((r << 31) + ((m >> shift) & 0x7FFFFFFF)) % p
+    return -r % p if n < 0 else r
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +781,7 @@ def least_gs_stats(x: int, workers: int = 1, progress=None) -> GsStatsReport:
     if x < 3:
         raise ContractError(f"need x >= 3, got {x}")
     primes = [p for p in primes_upto(x) if p % 2 == 1]
-    results = _window_map(least_roots, primes, workers, progress)
+    results = _window_map(_least_roots_block, _blocks(primes, LEAST_ROOTS_BLOCK), workers, progress)
     values = tuple((r.p, r.gs) for r in results)
     hist = Counter(gs for _, gs in values)
     return GsStatsReport(

@@ -1,0 +1,129 @@
+"""The batch root-classification kernel against the scalar routes it replaces."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from primroot import roots
+from primroot.arith import is_prime, primes_upto, spf_table
+from primroot.errors import ContractError
+from primroot.roots import (
+    BATCH_PRIME_LIMIT,
+    RootClass,
+    _batch_primes,
+    _classify_unit,
+    _fermat_quotient_batch,
+    _pow_mod_batch,
+)
+from primroot.surveys import (
+    FIXED_G_BLOCK,
+    _int_mod,
+    _survey_block,
+    fixed_g_density,
+    stationary_survey,
+    survey_row,
+)
+
+# the two largest primes below 2**31, where products come closest to 2**62
+TOP_PRIMES = (2147483647, 2147483629)
+SMALL_PRIMES = [p for p in primes_upto(5000) if p > 2]
+
+odd_primes = st.one_of(st.sampled_from(SMALL_PRIMES), st.sampled_from(TOP_PRIMES))
+
+
+def fermat_quotient(a: int, p: int) -> int:
+    return (pow(a, p - 1, p * p) - 1) // p % p
+
+
+def test_top_primes_are_the_kernel_extremes():
+    assert all(is_prime(p) for p in TOP_PRIMES)
+    assert max(TOP_PRIMES) == BATCH_PRIME_LIMIT - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=odd_primes, a=st.integers(1, 2**62), b=st.integers(1, 2**62))
+@example(p=3, a=2, b=5)
+def test_fermat_quotient_is_additive(p, a, b):
+    a, b = a % (p * p) or 1, b % (p * p) or 1
+    if a % p == 0 or b % p == 0:
+        a, b = a + (a % p == 0), b + (b % p == 0)
+    want = (fermat_quotient(a, p) + fermat_quotient(b, p)) % p
+    assert fermat_quotient(a * b, p) == want
+    got = _fermat_quotient_batch(np.array([a, b, a * b % (p * p)]), p)
+    assert (int(got[0]) + int(got[1])) % p == int(got[2]) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=odd_primes,
+    data=st.lists(st.tuples(st.integers(0, 2**62), st.integers(0, 2**40)), min_size=1, max_size=30),
+)
+@example(p=2147483647, data=[(2147483646, 2147483646), (2, 2147483645), (0, 0), (1, 5)])
+@example(p=2147483629, data=[(2147483628, 2147483628), (3, 1073741814)])
+def test_kernel_pow_and_fermat_quotient_match_python(p, data):
+    base = np.array([b % p for b, _ in data], dtype=np.int64)
+    exp = np.array([e for _, e in data], dtype=np.int64)
+    assert _pow_mod_batch(base, exp, p).tolist() == [pow(int(b), int(e), p) for b, e in zip(base, exp)]
+    units = [b % (p * p) for b, _ in data if b % p]
+    if units:
+        got = _fermat_quotient_batch(np.array(units, dtype=np.int64), p).tolist()
+        assert got == [fermat_quotient(a, p) for a in units]
+
+
+def test_kernel_refuses_primes_outside_its_domain():
+    assert _batch_primes(TOP_PRIMES).dtype == np.int64
+    with pytest.raises(ContractError, match="2\\*\\*31"):
+        _batch_primes([3, BATCH_PRIME_LIMIT + 11])
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=st.integers(2, 3000), z=st.integers(2, 60))
+@example(x=2, z=2)  # p = 3 with 2z = 4 < 9
+@example(x=3, z=12)  # p = 3, 5 divide some g <= 2z
+@example(x=5, z=12)
+@example(x=30, z=200)  # p <= 2z for every p in the window
+def test_survey_blocks_equal_survey_row(x, z):
+    try:
+        rep = stationary_survey(x, z)
+    except ContractError:  # 2z reaches p^2 at the window's smallest prime
+        return
+    assert list(rep.rows) == [survey_row(r.p, z) for r in rep.rows]
+
+
+def test_survey_block_at_the_largest_kernel_primes():
+    assert _survey_block(TOP_PRIMES, 100) == [survey_row(p, 100) for p in TOP_PRIMES]
+
+
+@pytest.mark.parametrize("primes, z", [((1009, 1013, 2147483647), 300), ((5, 7, 11), 12)])
+def test_survey_block_in_small_chunks(monkeypatch, primes, z):
+    # one (p, q) pair per Lucas table and 7 columns per numpy pass
+    monkeypatch.setattr(roots, "KERNEL_CELLS", 1)
+    monkeypatch.setattr(roots, "KERNEL_CHUNK", 7)
+    assert _survey_block(primes, z) == [survey_row(p, z) for p in primes]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(-(2**200), 2**200))
+@example(n=-3)
+@example(n=2**31)
+def test_int_mod_matches_python(n):
+    p = np.array([3, 5, 65537] + list(TOP_PRIMES), dtype=np.int64)
+    assert _int_mod(n, p).tolist() == [n % int(q) for q in p]
+
+
+def test_fixed_g_density_past_a_block_with_no_prime():
+    # the second block starts at 3 + 2**20 = 7 * 149797; the next prime is 2**20 + 7
+    x = 3 + FIXED_G_BLOCK + 1
+    assert not any(is_prime(n) for n in range(3 + FIXED_G_BLOCK, x + 1))
+    spf = spf_table(x)
+    hits = 0
+    primes = primes_upto(x)
+    for p in primes[1:]:
+        qs, m = set(), p - 1
+        while m > 1:
+            qs.add(int(spf[m]))
+            m //= int(spf[m])
+        hits += _classify_unit(2, p, sorted(qs)) is RootClass.STATIONARY
+    rep = fixed_g_density(2, x)
+    assert (rep.stationary_count, rep.prime_count) == (hits, len(primes))

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -214,6 +215,43 @@ def test_output_file(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out == ""
     assert json.loads(target.read_text())["g"] == 3
+
+
+def test_output_to_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "least.json"
+    rc, out, err = run_cli(capsys, "least", "--p", "43", "--output", str(target))
+    assert rc == 2
+    assert out == ""
+    assert f"error: cannot write --output {target}" in err
+    assert not target.parent.exists()
+
+
+def test_output_is_replaced_whole_or_not_at_all(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "least.json"
+    target.write_text("old\n")
+    assert main(["least", "--p", "42", "--output", str(target)]) == 2  # 42 is not prime
+    assert target.read_text() == "old\n"
+
+    def failing_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("primroot.cli.os.replace", failing_replace)
+    assert main(["least", "--p", "43", "--output", str(target)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["least.json"]  # no temp file left
+    assert target.read_text() == "old\n"
+
+
+def test_output_to_symlink_or_device_is_written_in_place(tmp_path, capsys):
+    target = tmp_path / "least.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(["least", "--p", "43", "--format", "json", "--output", str(link)]) == 0
+    assert link.is_symlink()
+    assert json.loads(target.read_text())["g"] == 3
+    assert main(["least", "--p", "43", "--output", os.devnull]) == 0
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["least.json", "link.json"]
 
 
 def test_run_config_carries_params():

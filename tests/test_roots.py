@@ -291,3 +291,41 @@ def test_inverse_pairs_both_roots():
     spec = CyclicGroupSpec.for_prime(43)
     for tau in ROOTS_43:
         assert is_primitive_root(inv_mod(tau, 43), spec)
+
+
+def test_raised_specs_equal_validated_builds():
+    spec_p = CyclicGroupSpec.for_prime(43)
+    assert spec_p.raised(1) == spec_p
+    for k in range(1, 5):
+        assert spec_p.raised(k) == CyclicGroupSpec.for_prime_power(43, k)
+        assert spec_p.raised(k, doubled=True) == CyclicGroupSpec.for_twice_prime_power(43, k)
+    with pytest.raises(ContractError):
+        spec_p.raised(2).raised(2)  # only a prime's spec is raised
+    with pytest.raises(ContractError):
+        spec_p.raised(0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: stationary_propagation(10, 40487, 4), lambda: lift_pair_check(5, 40487, 4)],
+    ids=["stationary_propagation", "lift_pair_check"],
+)
+def test_lift_checks_validate_p_once(monkeypatch, call):
+    import primroot.roots as roots_mod
+    from primroot.arith import factorize as real_factorize
+    from primroot.arith import is_prime as real_is_prime
+
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(("is_prime", n))
+        return real_is_prime(n)
+
+    def counting_factorize(n):
+        calls.append(("factorize", n))
+        return real_factorize(n)
+
+    monkeypatch.setattr(roots_mod, "is_prime", counting_is_prime)
+    monkeypatch.setattr(roots_mod, "factorize", counting_factorize)
+    assert call()
+    assert calls == [("is_prime", 40487), ("factorize", 40486)]

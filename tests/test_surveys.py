@@ -6,7 +6,7 @@ import pytest
 
 from conftest import naive_classify_counts, naive_order, naive_repetend_length
 from primroot.arith import factorize, first_primes, is_prime, omega, primes_upto
-from primroot.errors import ContractError
+from primroot.errors import ContractError, ResourceLimitError
 from primroot.surveys import (
     KNOWN_LEAST_ROOT_EXCEPTIONS,
     density_constants,
@@ -141,6 +141,15 @@ def test_survey_contract_errors():
         survey_row(11, 61)
     with pytest.raises(ContractError):
         stationary_survey(1, 2)
+
+
+def test_survey_refuses_z_over_budget():
+    # checked before the window is sieved or any block is built
+    with pytest.raises(ResourceLimitError, match="budget"):
+        stationary_survey(10**8, 2 * 10**7)
+    # every worker holds its own g tables
+    with pytest.raises(ResourceLimitError, match="budget"):
+        stationary_survey(10**8, 6 * 10**6, workers=3)
 
 
 def test_survey_nonstationary_rare():
