@@ -198,30 +198,24 @@ class PsiFormulaResult:
     matches_table: bool
 
 
-def _psi_pair(g: int, p: int) -> tuple[int, int]:
-    spec_p = CyclicGroupSpec.for_prime(p)
-    spec_p2 = CyclicGroupSpec.for_prime_power(p, 2)
-    psi_p = 1 if is_primitive_root(g, spec_p) else 0
-    psi_p2 = 1 if is_primitive_root(g, spec_p2) else 0
-    return psi_p, psi_p2
+def _psi_formula(g: int, p: int, sign: int, counted: RootClass) -> PsiFormulaResult:
+    """Psi_p(g) * (1 + sign * Psi_{p^2}(g)) / 2 next to the table value of `counted`."""
+    psi_p = 1 if is_primitive_root(g, CyclicGroupSpec.for_prime(p)) else 0
+    psi_p2 = 1 if is_primitive_root(g, CyclicGroupSpec.for_prime_power(p, 2)) else 0
+    formula = Fraction(psi_p * (1 + sign * psi_p2), 2)
+    cls = classify(g, p) if g >= 1 else RootClass.NOT_COPRIME
+    table = 1 if cls is counted else 0
+    return PsiFormulaResult(g, p, formula, table, cls, formula == table)
 
 
 def psi_s_formula(g: int, p: int) -> PsiFormulaResult:
     """Stationary-root formula Psi_p(g) * (1 + Psi_{p^2}(g)) / 2, exactly."""
-    psi_p, psi_p2 = _psi_pair(g, p)
-    formula = Fraction(psi_p * (1 + psi_p2), 2)
-    cls = classify(g, p) if g >= 1 else RootClass.NOT_COPRIME
-    table = 1 if cls is RootClass.STATIONARY else 0
-    return PsiFormulaResult(g, p, formula, table, cls, formula == table)
+    return _psi_formula(g, p, 1, RootClass.STATIONARY)
 
 
 def psi_n_formula(g: int, p: int) -> PsiFormulaResult:
     """Nonstationary-root formula Psi_p(g) * (1 - Psi_{p^2}(g)) / 2, exactly."""
-    psi_p, psi_p2 = _psi_pair(g, p)
-    formula = Fraction(psi_p * (1 - psi_p2), 2)
-    cls = classify(g, p) if g >= 1 else RootClass.NOT_COPRIME
-    table = 1 if cls is RootClass.NONSTATIONARY else 0
-    return PsiFormulaResult(g, p, formula, table, cls, formula == table)
+    return _psi_formula(g, p, -1, RootClass.NONSTATIONARY)
 
 
 @dataclass(frozen=True)

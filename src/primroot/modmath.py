@@ -38,27 +38,14 @@ def pow_mod(a: int, e: int, n: int) -> int:
     return pow(a, e, n)
 
 
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y == g == gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
-
-
 def inv_mod(a: int, n: int) -> int:
-    """Return b with a*b == 1 (mod n), via the extended Euclidean algorithm."""
+    """Return b in [0, n) with a*b == 1 (mod n)."""
     if n < 1:
         raise DomainError(f"modulus must be >= 1, got {n}")
-    g, x, _ = egcd(a % n, n)
-    if g != 1:
-        raise NotInvertibleError(f"{a} is not invertible mod {n} (gcd = {g})")
-    return x % n
+    try:
+        return pow(a % n, -1, n)
+    except ValueError:
+        raise NotInvertibleError(f"{a} is not invertible mod {n} (gcd = {math.gcd(a, n)})") from None
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,19 @@
 
 Euler-product density constants, totient-ratio sums, stationary and
 nonstationary root counts, least-root statistics, omega sums, and repetend
-periods.  Reports serialize to dicts carrying a schema_version field; the
-survey rows also serialize to CSV.
+periods.  Every report serializes through one function, `as_dict`, to a
+JSON-ready dict that starts with schema_version; `csv_lines` writes rows
+of any of them as CSV.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -63,28 +65,86 @@ KNOWN_LEAST_ROOT_EXCEPTIONS = ((40487, 5, 10), (6692367337, 5, 7))
 
 
 # ---------------------------------------------------------------------------
+# Serialization
+
+#: field metadata that keeps a field out of as_dict
+NOT_SERIALIZED = {"serialized": False}
+
+
+def as_dict(report) -> dict:
+    """A dataclass as a JSON-ready dict: schema_version, then each field in order.
+
+    A Fraction becomes a float; a dict has its keys sorted and turned into
+    strings; a list or tuple becomes a list; a nested Report carries its own
+    schema_version, and any other nested dataclass is its plain fields.
+    Fields whose metadata is NOT_SERIALIZED are left out.
+    """
+    return _add_fields({"schema_version": SCHEMA_VERSION}, report)
+
+
+@lru_cache(maxsize=None)
+def _serialized_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.metadata.get("serialized", True))
+
+
+_SCALARS = (int, float, bool, str, type(None))
+
+
+def _add_fields(out: dict, obj) -> dict:
+    for name in _serialized_names(type(obj)):
+        value = getattr(obj, name)
+        # scalars pass unchanged; testing them first keeps a 1e3-row survey cheap
+        out[name] = value if type(value) in _SCALARS else _json_ready(value)
+    return out
+
+
+def _json_ready(value):
+    if isinstance(value, Report):
+        return as_dict(value)
+    if is_dataclass(value):
+        return _add_fields({}, value)
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _json_ready(v) for k, v in sorted(value.items())}
+    if isinstance(value, Fraction):
+        return float(value)
+    return value
+
+
+class Report:
+    """Base of the report dataclasses: report.as_dict() is as_dict(report)."""
+
+    as_dict = as_dict
+
+
+def csv_lines(rows, columns) -> list[str]:
+    """A schema_version,<columns> header, then one line per row of cell values.
+
+    Bools are written 0/1; every other cell, floats included, with str.
+    """
+    lines = [",".join(("schema_version", *columns))]
+    version = f"{SCHEMA_VERSION},"
+    for row in rows:
+        lines.append(version + ",".join([str(int(c) if isinstance(c, bool) else c) for c in row]))
+    return lines
+
+
+# ---------------------------------------------------------------------------
 # Euler products and derived constants
 
 
 @dataclass(frozen=True)
-class EulerProductEntry:
+class EulerProductEntry(Report):
     """Partial product over the first `prime_count` primes for one exponent k."""
 
     k: int
     prime_count: int
     value: float
 
-    def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "k": self.k,
-            "prime_count": self.prime_count,
-            "value": self.value,
-        }
-
 
 @dataclass(frozen=True)
-class ConstantsReport:
+class ConstantsReport(Report):
     """a1, a2 partial products plus c2 = (a1+a2)/2 and c3 = (a1-a2)/2."""
 
     prime_count: int
@@ -92,16 +152,6 @@ class ConstantsReport:
     a2: float
     c2: float
     c3: float
-
-    def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "prime_count": self.prime_count,
-            "a1": self.a1,
-            "a2": self.a2,
-            "c2": self.c2,
-            "c3": self.c3,
-        }
 
 
 def local_factor(p: int, k: int) -> Fraction:
@@ -151,7 +201,7 @@ def _reference_c2(prime_count: int = 10_000) -> float:
 
 
 @dataclass(frozen=True)
-class TotientRatioReport:
+class TotientRatioReport(Report):
     """Sum over p <= x of (phi(p-1)/(p-1))^k with two normalizations."""
 
     x: int
@@ -161,18 +211,6 @@ class TotientRatioReport:
     prime_count: int
     per_prime: float
     per_x_log_x: float
-
-    def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "x": self.x,
-            "k": self.k,
-            "total": float(self.total),
-            "exact": self.exact,
-            "prime_count": self.prime_count,
-            "per_prime": self.per_prime,
-            "per_x_log_x": self.per_x_log_x,
-        }
 
 
 def totient_ratio_sum(x: int, k: int = 1, exact: bool | None = None) -> TotientRatioReport:
@@ -213,7 +251,7 @@ def totient_ratio_sum(x: int, k: int = 1, exact: bool | None = None) -> TotientR
 
 
 @dataclass(frozen=True)
-class MixedMainTermReport:
+class MixedMainTermReport(Report):
     """(1/2) sum over x <= p <= 2x of (phi(p-1)/(p-1)) (1 + phi(phi(p^2))/p^2)."""
 
     x: int
@@ -221,16 +259,6 @@ class MixedMainTermReport:
     prime_count: int
     reference_c2: float
     ratio_to_c2_x_log_x: float
-
-    def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "x": self.x,
-            "total": self.total,
-            "prime_count": self.prime_count,
-            "reference_c2": self.reference_c2,
-            "ratio_to_c2_x_log_x": self.ratio_to_c2_x_log_x,
-        }
 
 
 def mixed_main_term(x: int, reference_c2: float | None = None) -> MixedMainTermReport:
@@ -267,7 +295,7 @@ def mixed_main_term(x: int, reference_c2: float | None = None) -> MixedMainTermR
 
 
 @dataclass(frozen=True)
-class SurveyRow:
+class SurveyRow(Report):
     """Counts of root classes among g in [2, 2z] for one prime."""
 
     p: int
@@ -275,27 +303,22 @@ class SurveyRow:
     n_pr: int
     n_s: int
     n_n: int
-    least: LeastRoots
-
-    def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "p": self.p,
-            "z": self.z,
-            "n_pr": self.n_pr,
-            "n_s": self.n_s,
-            "n_n": self.n_n,
-            "g": self.least.g,
-            "h": self.least.h,
-            "gs": self.least.gs,
-        }
+    g: int
+    h: int
+    gs: int
 
 
-SURVEY_CSV_HEADER = "schema_version,p,z,n_pr,n_s,n_n,g,h,gs"
+SURVEY_COLUMNS = tuple(f.name for f in fields(SurveyRow))
+
+
+def _survey_row(z: int, n_s: int, n_n: int, least: LeastRoots) -> SurveyRow:
+    return SurveyRow(
+        p=least.p, z=z, n_pr=n_s + n_n, n_s=n_s, n_n=n_n, g=least.g, h=least.h, gs=least.gs
+    )
 
 
 @dataclass(frozen=True)
-class StationarySurveyReport:
+class StationarySurveyReport(Report):
     x: int
     z: int
     rows: tuple[SurveyRow, ...]
@@ -309,44 +332,21 @@ class StationarySurveyReport:
     nn_per_z_pi: float
     nn_per_z2: float
 
-    def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "x": self.x,
-            "z": self.z,
-            "rows": [r.as_dict() for r in self.rows],
-            "n_pr_total": self.n_pr_total,
-            "n_s_total": self.n_s_total,
-            "n_n_total": self.n_n_total,
-            "ns_per_z_pi": self.ns_per_z_pi,
-            "ns_per_z2": self.ns_per_z2,
-            "nn_per_z_pi": self.nn_per_z_pi,
-            "nn_per_z2": self.nn_per_z2,
-        }
-
     def csv_lines(self) -> list[str]:
-        lines = [SURVEY_CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{SCHEMA_VERSION},{r.p},{r.z},{r.n_pr},{r.n_s},{r.n_n},"
-                f"{r.least.g},{r.least.h},{r.least.gs}"
-            )
-        return lines
+        return csv_lines(map(attrgetter(*SURVEY_COLUMNS), self.rows), SURVEY_COLUMNS)
 
 
 def parse_survey_csv(text: str) -> list[SurveyRow]:
     """Inverse of StationarySurveyReport.csv_lines, for round-trip checks."""
     lines = [ln for ln in text.strip().splitlines() if ln]
-    if lines[0] != SURVEY_CSV_HEADER:
+    if lines[0] != csv_lines([], SURVEY_COLUMNS)[0]:
         raise ContractError(f"unexpected CSV header: {lines[0]!r}")
     rows = []
     for ln in lines[1:]:
-        ver, p, z, n_pr, n_s, n_n, g, h, gs = (int(c) for c in ln.split(","))
+        ver, *cells = (int(c) for c in ln.split(","))
         if ver != SCHEMA_VERSION:
             raise ContractError(f"unsupported schema_version {ver}")
-        rows.append(
-            SurveyRow(p, z, n_pr, n_s, n_n, LeastRoots(p=p, g=g, h=h, gs=gs))
-        )
+        rows.append(SurveyRow(*cells))
     return rows
 
 
@@ -369,7 +369,7 @@ def survey_row(p: int, z: int) -> SurveyRow:
             n_s += 1
         elif cls is RootClass.NONSTATIONARY:
             n_n += 1
-    return SurveyRow(p=p, z=z, n_pr=n_s + n_n, n_s=n_s, n_n=n_n, least=_least_roots(spec))
+    return _survey_row(z, n_s, n_n, _least_roots(spec))
 
 
 def _survey_block(primes: tuple[int, ...], z: int) -> list[SurveyRow]:
@@ -379,8 +379,7 @@ def _survey_block(primes: tuple[int, ...], z: int) -> list[SurveyRow]:
         primes, [[q for q, _ in s.order_factorization.factors] for s in specs], 2 * z
     )
     return [
-        SurveyRow(p=p, z=z, n_pr=int(s + n), n_s=int(s), n_n=int(n), least=_least_roots(spec))
-        for p, spec, s, n in zip(primes, specs, n_s, n_n)
+        _survey_row(z, int(s), int(n), _least_roots(spec)) for spec, s, n in zip(specs, n_s, n_n)
     ]
 
 
@@ -463,24 +462,13 @@ def stationary_survey(
 
 
 @dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(Report):
     """Counts of primes in [x, 2x] with g(p) == h(p) versus g(p) != h(p)."""
 
     x: int
     n_agree: int
     n_disagree: int
     exceptions: tuple[LeastRoots, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "x": self.x,
-            "n_agree": self.n_agree,
-            "n_disagree": self.n_disagree,
-            "exceptions": [
-                {"p": e.p, "g": e.g, "h": e.h, "gs": e.gs} for e in self.exceptions
-            ],
-        }
 
 
 def least_root_agreement(x: int, workers: int = 1, progress=None) -> AgreementReport:
@@ -512,22 +500,12 @@ def verify_known_exceptions() -> bool:
 
 
 @dataclass(frozen=True)
-class FixedGDensity:
+class FixedGDensity(Report):
     g: int
     x: int
     stationary_count: int
     prime_count: int
     fraction: float
-
-    def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "g": self.g,
-            "x": self.x,
-            "stationary_count": self.stationary_count,
-            "prime_count": self.prime_count,
-            "fraction": self.fraction,
-        }
 
 
 def fixed_g_density(g: int, x: int) -> FixedGDensity:
@@ -600,7 +578,7 @@ def _int_mod(n: int, p: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OmegaSumsReport:
+class OmegaSumsReport(Report):
     """Sieve-built omega sums with unasserted normalizations.
 
     The shifted-prime sums have no proven asymptotic constants; ratios are
@@ -617,21 +595,6 @@ class OmegaSumsReport:
     shifted_per_pnt_loglog: float
     omega_shifted_per_prime: float
     mu_omega_per_prime: float
-
-    def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "x": self.x,
-            "sum_two_omega_all": self.sum_two_omega_all,
-            "sum_two_omega_shifted": self.sum_two_omega_shifted,
-            "sum_mu_omega_shifted": self.sum_mu_omega_shifted,
-            "sum_omega_shifted": self.sum_omega_shifted,
-            "prime_count": self.prime_count,
-            "all_per_x_log_x": self.all_per_x_log_x,
-            "shifted_per_pnt_loglog": self.shifted_per_pnt_loglog,
-            "omega_shifted_per_prime": self.omega_shifted_per_prime,
-            "mu_omega_per_prime": self.mu_omega_per_prime,
-        }
 
 
 def omega_sums(x: int) -> OmegaSumsReport:
@@ -677,7 +640,7 @@ def _sum_two_pow(w: np.ndarray) -> int:
 
 
 @dataclass(frozen=True)
-class PeriodResult:
+class PeriodResult(Report):
     """Multiplicative order of the base mod p^k, i.e. the repetend length of 1/p^k."""
 
     base: int
@@ -686,17 +649,6 @@ class PeriodResult:
     period: int
     maximal: bool
     repetend_length: int | None
-
-    def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "base": self.base,
-            "p": self.p,
-            "k": self.k,
-            "period": self.period,
-            "maximal": self.maximal,
-            "repetend_length": self.repetend_length,
-        }
 
 
 def repetend_digits(numerator: int, modulus: int, base: int) -> list[int]:
@@ -753,7 +705,7 @@ def period(base: int, p: int, k: int) -> PeriodResult:
 
 
 @dataclass(frozen=True)
-class GsStatsReport:
+class GsStatsReport(Report):
     """Distribution of the least simultaneous root over primes p <= x."""
 
     x: int
@@ -762,18 +714,8 @@ class GsStatsReport:
     mean_gs: float
     max_gs_over_log_p: float
     histogram: dict[int, int]
-    values: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "x": self.x,
-            "count": self.count,
-            "max_gs": self.max_gs,
-            "mean_gs": self.mean_gs,
-            "max_gs_over_log_p": self.max_gs_over_log_p,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-        }
+    #: (p, gs) for every prime; kept out of as_dict
+    values: tuple[tuple[int, int], ...] = field(metadata=NOT_SERIALIZED)
 
 
 def least_gs_stats(x: int, workers: int = 1, progress=None) -> GsStatsReport:

@@ -1,9 +1,11 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
-from primroot.cli import build_parser, config_from_args, dispatch, main
+from primroot.cli import COMMANDS, main
 from primroot.surveys import parse_survey_csv, stationary_survey
 
 
@@ -254,16 +256,18 @@ def test_output_to_symlink_or_device_is_written_in_place(tmp_path, capsys):
     assert sorted(f.name for f in tmp_path.iterdir()) == ["least.json", "link.json"]
 
 
-def test_run_config_carries_params():
-    ns = build_parser().parse_args(
-        ["survey", "--x", "50", "--z", "5", "--workers", "3", "--format", "csv"]
+def test_survey_flags_reach_the_run(capsys):
+    rc, out, _ = run_cli(
+        capsys, "survey", "--x", "50", "--z", "5", "--workers", "3", "--format", "csv"
     )
-    cfg = config_from_args(ns)
-    assert cfg.name == "survey"
-    assert cfg.workers == 3
-    assert cfg.fmt == "csv"
-    assert cfg.params["x"] == 50 and cfg.params["z"] == 5
-    assert dispatch(cfg) == 0
+    assert rc == 0
+    assert out == "\n".join(stationary_survey(50, 5).csv_lines()) + "\n"
+
+
+def test_readme_documents_every_command():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"^primroot ([\w-]+)", section, re.M)) == set(COMMANDS)
 
 
 def test_progress_goes_to_stderr_only(capsys):

@@ -6,7 +6,7 @@ import pytest
 from conftest import naive_order
 from primroot.arith import euler_phi, factorize, primes_upto
 from primroot.errors import DomainError, NotInvertibleError
-from primroot.modmath import egcd, inv_mod, mul_mod, multiplicative_order, pow_mod
+from primroot.modmath import inv_mod, mul_mod, multiplicative_order, pow_mod
 from primroot.roots import CyclicGroupSpec
 
 
@@ -60,14 +60,6 @@ def test_zero_modulus_rejected():
         pow_mod(2, 3, 0)
     with pytest.raises(DomainError):
         pow_mod(2, -1, 7)
-
-
-def test_egcd():
-    for a in range(1, 60):
-        for b in range(0, 60):
-            g, x, y = egcd(a, b)
-            assert g == math.gcd(a, b)
-            assert a * x + b * y == g
 
 
 def test_inv_mod():
