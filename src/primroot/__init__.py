@@ -3,7 +3,6 @@
 from .arith import (
     Factorization,
     PrimalityInfo,
-    PrimeRange,
     euler_phi,
     factorize,
     first_primes,

@@ -8,7 +8,6 @@ bit for bit across runs.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +27,13 @@ EXTRA_MR_ROUNDS = 32
 
 _TRIAL_BOUND = 1000  # strip factors below this before Pollard rho
 
-DEFAULT_SEGMENT_SIZE = 1 << 20  # flags per sieve segment
-DEFAULT_MAX_SPAN = 1 << 28  # widest [lo, hi] accepted by primes_in_range
+DEFAULT_SEGMENT_SIZE = 1 << 20  # integers per sieve segment
+DEFAULT_MAX_SPAN = 1 << 28  # widest [lo, hi] any sieve walk accepts
 # Bytes a bulk table may hold at its peak: int32 entries over the widest span.
 TABLE_BUDGET_BYTES = 4 * DEFAULT_MAX_SPAN
-_SIEVE_WORK_BYTES = 5  # per entry: the factor sieve's int32 cofactors and one bool mask
+# Sieve work per table entry in the budget check (int32 cofactors, a bool mask);
+# kept since the sieve went per segment, so that table limits do not move.
+_SIEVE_WORK_BYTES = 5
 
 
 @dataclass(frozen=True)
@@ -47,15 +48,6 @@ class Factorization:
         for p, e in self.factors:
             out *= p**e
         return out
-
-
-@dataclass(frozen=True)
-class PrimeRange:
-    """All primes in the inclusive interval [lo, hi], ascending."""
-
-    lo: int
-    hi: int
-    primes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -128,7 +120,7 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Sieves (numpy): prime flags, the factor sieve and the tables built on it.
+# Sieves (numpy): prime flags, the one segmented sieve and what is built on it.
 # Each table checks its memory need against TABLE_BUDGET_BYTES before it
 # allocates anything.
 
@@ -154,44 +146,47 @@ def prime_flags(n: int) -> np.ndarray:
     return flags
 
 
-def _factor_sieve(n: int, mark, cofactors: bool = True) -> np.ndarray | None:
-    """The one factor sieve behind every arithmetic table over [0, n].
+def _segments(lo: int, hi: int, cofactors: bool = True):
+    """The one loop over integers: [lo, hi] in segments of DEFAULT_SEGMENT_SIZE.
 
-    Calls mark(p) for each prime p <= isqrt(n), largest first, so that a
-    plain assignment per prime leaves the smallest one; only these base
-    primes are sieved.  With `cofactors`, it also returns big with
-    big[m] = m / (isqrt(n)-smooth part of m): the one prime factor of m
-    above isqrt(n), or 1 (two such factors would multiply past n).  Callers
-    check the budget for their tables plus _SIEVE_WORK_BYTES per entry
-    before they allocate.
+    Yields (start, size, marks, big) per segment.  marks lists (p, q, off),
+    ascending, for each base prime p <= isqrt(hi + 1) and q = p or (with
+    cofactors) a power of p up to hi: off indexes the first positive
+    multiple of q at or after start, maybe past the segment.  big[i] is the
+    prime factor of start + i above the base primes, or 1 (0 at 0): int32
+    while hi + 1 fits, in one buffer that the next segment overwrites.  Base
+    primes reach one past hi so that prime_windows can sieve p over p - 1.
     """
-    base = np.flatnonzero(prime_flags(math.isqrt(n)))[::-1].tolist()
-    if not cofactors:
-        for p in base:
-            mark(p)
-        return None
-    smooth = np.ones(n + 1, dtype=np.int32)
-    for p in base:
-        mark(p)
-        q = p
-        while q <= n:
-            smooth[q::q] *= p
-            q *= p
-    for lo in range(0, n + 1, DEFAULT_SEGMENT_SIZE):  # m / smooth[m], in place
-        block = smooth[lo : lo + DEFAULT_SEGMENT_SIZE]
-        np.floor_divide(np.arange(lo, lo + len(block), dtype=np.int32), block, out=block)
-    return smooth
+    if hi - lo > DEFAULT_MAX_SPAN:
+        raise ResourceLimitError(f"range width {hi - lo} exceeds budget {DEFAULT_MAX_SPAN}")
+    base = np.flatnonzero(prime_flags(math.isqrt(hi + 1))).tolist()
+    top = int(hi).bit_length() if cofactors else 2  # p**k <= hi needs k < its bit length
+    pq = [(p, p**k) for p in base for k in range(1, top) if p**k <= hi]
+    q_arr = np.array([q for _, q in pq], dtype=np.int64)
+    dtype = np.int32 if hi + 1 < 2**31 else np.int64  # prime_windows emits m + 1
+    buffer = np.empty(min(DEFAULT_SEGMENT_SIZE, hi + 1 - lo), dtype=dtype) if cofactors else None
+    for start in range(lo, hi + 1, DEFAULT_SEGMENT_SIZE):
+        size = min(DEFAULT_SEGMENT_SIZE, hi + 1 - start)
+        first = max(start, 1)
+        marks = [(p, q, off) for (p, q), off in zip(pq, (-first % q_arr + first - start).tolist())]
+        big = None
+        if cofactors:
+            big = buffer[:size]
+            big.fill(1)
+            for a, b, off in marks:  # the smooth part of each m ...
+                big[off::b] *= a
+            np.floor_divide(np.arange(start, start + size, dtype=dtype), big, out=big)  # ... divided out
+        yield start, size, marks, big
 
 
 def spf_table(n: int) -> np.ndarray:
     """Smallest prime factor of every 0 <= m <= n (int32; 0 at m = 0 and 1)."""
     _check_table_budget(n, 4 + _SIEVE_WORK_BYTES)
     spf = np.zeros(n + 1, dtype=np.int32)
-
-    def mark(p: int) -> None:
-        spf[p::p] = p
-
-    _factor_sieve(n, mark, cofactors=False)
+    for start, size, marks, _ in _segments(0, n, cofactors=False):
+        seg = spf[start : start + size]
+        for p, _, off in reversed(marks):  # largest first, so the smallest stays
+            seg[off::p] = p
     # no base prime divides an unmarked m >= 2, so m is prime
     unmarked = np.flatnonzero(spf[2:] == 0) + 2
     spf[unmarked] = unmarked
@@ -202,17 +197,12 @@ def phi_table(n: int) -> np.ndarray:
     """phi(m) for all 0 <= m <= n, as int32."""
     _check_table_budget(n, 4 + _SIEVE_WORK_BYTES)
     phi = np.ones(n + 1, dtype=np.int32)
-
-    def mark(p: int) -> None:
-        phi[p::p] *= p - 1
-        q = p * p
-        while q <= n:
-            phi[q::q] *= p
-            q *= p
-
-    big = _factor_sieve(n, mark)
-    big -= big > 1  # phi(r) = r - 1 at the large prime r, 1 where there is none
-    phi *= big  # big[0] = 0 sets phi(0) = 0
+    for start, size, marks, big in _segments(0, n):
+        seg = phi[start : start + size]
+        for p, q, off in marks:
+            seg[off::q] *= p - 1 if q == p else p
+        big -= big > 1  # phi(r) = r - 1 at the large prime r, 1 where there is none
+        seg *= big  # big = 0 at 0 sets phi(0) = 0
     return phi
 
 
@@ -221,17 +211,17 @@ def omega_mobius_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     _check_table_budget(n, 2 + _SIEVE_WORK_BYTES)
     w = np.zeros(n + 1, dtype=np.int8)
     mu = np.ones(n + 1, dtype=np.int8)
-
-    def mark(p: int) -> None:
-        w[p::p] += 1
-        multiples = mu[p::p]
-        np.negative(multiples, out=multiples)
-        mu[p * p :: p * p] = 0
-
-    big = _factor_sieve(n, mark)
-    has_big = big > 1
-    w += has_big
-    np.negative(mu, out=mu, where=has_big)
+    for start, size, marks, big in _segments(0, n):
+        ws, mus = w[start : start + size], mu[start : start + size]
+        for p, q, off in marks:
+            if q == p:
+                ws[off::p] += 1
+                mus[off::p] *= -1
+            elif q == p * p:
+                mus[off::q] = 0
+        has_big = big > 1
+        ws += has_big
+        np.negative(mus, out=mus, where=has_big)
     mu[0] = 0
     return w, mu
 
@@ -246,57 +236,70 @@ def mobius_table(n: int) -> np.ndarray:
     return omega_mobius_tables(n)[1]
 
 
-def _default_segment_size() -> int:
-    raw = os.environ.get("PRIMROOT_SEGMENT_SIZE")
-    if raw:
-        size = int(raw)
-        if size < 64:
-            raise ContractError(f"PRIMROOT_SEGMENT_SIZE too small: {size}")
-        return size
-    return DEFAULT_SEGMENT_SIZE
+def primes_in_range(lo: int, hi: int) -> list[int]:
+    """All primes in the inclusive interval [lo, hi], ascending, by the segmented sieve.
 
-
-def primes_in_range(
-    lo: int,
-    hi: int,
-    segment_size: int | None = None,
-    max_span: int = DEFAULT_MAX_SPAN,
-) -> PrimeRange:
-    """Segmented sieve over the inclusive interval [lo, hi].
-
-    Memory use is bounded by the segment size (default 2**20 flags, or the
-    PRIMROOT_SEGMENT_SIZE environment variable).  Raises ResourceLimitError
-    when the requested span exceeds `max_span`.
+    Raises ResourceLimitError when hi - lo exceeds DEFAULT_MAX_SPAN.
     """
     if lo > hi:
         raise ContractError(f"empty range: lo={lo} > hi={hi}")
-    if hi - lo > max_span:
-        raise ResourceLimitError(f"range width {hi - lo} exceeds budget {max_span}")
     lo = max(lo, 2)
     if lo > hi:
-        return PrimeRange(lo, hi, ())
-    seg = segment_size if segment_size is not None else _default_segment_size()
-    base = np.flatnonzero(prime_flags(math.isqrt(hi))).tolist()
+        return []
     out: list[int] = []
-    start = lo
-    while start <= hi:
-        end = min(start + seg - 1, hi)
-        flags = np.ones(end - start + 1, dtype=bool)
-        for p in base:
-            first = max(p * p, (start + p - 1) // p * p)
-            if first <= end:
-                flags[first - start :: p] = False
-        out.extend((np.flatnonzero(flags) + start).tolist())
-        start = end + 1
-    # base primes inside the window survive: marking starts at p*p
-    return PrimeRange(lo, hi, tuple(out))
+    for start, size, marks, _ in _segments(lo, hi, cofactors=False):
+        out.extend((np.flatnonzero(_primes_at(start, size, marks, 0)) + start).tolist())
+    return out
+
+
+def _primes_at(start: int, size: int, marks, shift: int) -> np.ndarray:
+    """flags[i] == (start + i + shift is prime), for start + shift >= 2."""
+    flags = np.ones(size, dtype=bool)
+    for p, q, off in marks:
+        if q == p:  # the multiples of p from p*p on
+            flags[max((off - shift) % p, p * p - shift - start) :: p] = False
+    return flags
+
+
+def prime_windows(lo: int, hi: int):
+    """The odd primes of [lo, hi] with the distinct primes of each p - 1.
+
+    Yields (p, owner, q) arrays per segment: the segment's odd primes p, and
+    one pair per prime q of p[owner] - 1, ascending per p but not grouped by
+    owner.  Sieves m = p - 1 over [lo - 1, hi - 1]: nothing is re-proved or
+    factored per prime.  int32 while hi < 2**31.
+    """
+    lo = max(lo, 3)
+    if lo > hi:
+        return
+    for segment in _segments(lo - 1, hi - 1):
+        yield _window_segment(*segment)
+
+
+def _window_segment(start: int, size: int, marks, big: np.ndarray):
+    """prime_windows' (p, owner, q) for one segment of m = p - 1.
+
+    A function of its own so that its temporaries are freed before the
+    consumer of the segment runs.
+    """
+    prime = _primes_at(start, size, marks, 1)
+    at = np.flatnonzero(prime)  # m = start + at[k] is p - 1 for the k-th prime
+    owners, qs = [], []
+    for p, q, off in marks:
+        if q == p:
+            owners.append(np.searchsorted(at, off + p * np.flatnonzero(prime[off::p])))
+            qs.append(np.full(len(owners[-1]), p, dtype=big.dtype))
+    cofactor = big[at]
+    owners.append(np.flatnonzero(cofactor > 1))
+    qs.append(cofactor[owners[-1]])
+    return at.astype(big.dtype) + (start + 1), np.concatenate(owners, dtype=big.dtype), np.concatenate(qs)
 
 
 def primes_upto(n: int) -> list[int]:
     """All primes <= n (convenience wrapper over the segmented sieve)."""
     if n < 2:
         return []
-    return list(primes_in_range(2, n).primes)
+    return primes_in_range(2, n)
 
 
 def first_primes(count: int) -> list[int]:

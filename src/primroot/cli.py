@@ -87,6 +87,8 @@ class Command(NamedTuple):
 
 
 def _render(cmd: Command, result, fmt: str) -> str:
+    if fmt == "csv" and isinstance(result, surveys.StationarySurveyReport):
+        return "\n".join(result.csv_lines())
     if isinstance(result, dict):
         payload = {"schema_version": surveys.SCHEMA_VERSION, **result}
     else:
@@ -255,7 +257,6 @@ COMMANDS = {
         "stationary counts over [x, 2x]",
         (_required("--x"), _required("--z")),
         lambda ns: surveys.stationary_survey(ns.x, ns.z, ns.workers, _progress("survey")),
-        csv={"rows": surveys.SURVEY_COLUMNS},
     ),
     "agreement": Command(
         "g(p) vs h(p) over [x, 2x]",
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=FORMATS, default="table")
     common.add_argument("--output", default=None, help="write data here instead of stdout")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--workers", type=int, default=1)
+    common.add_argument("--workers", type=positive_int, default=1)
 
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():

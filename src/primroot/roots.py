@@ -84,8 +84,7 @@ class CyclicGroupSpec:
 
     @classmethod
     def _build(cls, p: int, k: int, doubled: bool, generator: int | None) -> "CyclicGroupSpec":
-        if p < 3 or not is_prime(p):
-            raise ContractError(f"{p} is not an odd prime")
+        _require_odd_prime(p)
         spec = cls(p, p - 1, factorize(p - 1), p, 1, False)
         if k != 1 or doubled:
             spec = spec.raised(k, doubled)
@@ -407,20 +406,19 @@ def least_roots(p: int) -> LeastRoots:
     the full generator test whenever the candidate already generates mod p;
     a generator mod p^2 always reduces to one mod p, so gs coincides with h.
     """
-    return _least_roots(CyclicGroupSpec.for_prime(p))
+    _require_odd_prime(p)
+    return _least_roots(p, [q for q, _ in factorize(p - 1).factors])
 
 
-def _least_roots(spec_p: CyclicGroupSpec) -> LeastRoots:
-    """least_roots for the already validated spec of a prime."""
-    p = spec_p.prime
-    p2 = p * p
+def _least_roots(p: int, primes_p1) -> LeastRoots:
+    """least_roots, unchecked like _classify_unit: p is an odd prime, primes_p1 those of p-1."""
     g = h = 0
     cand = 2
     while h == 0:
-        if cand % p != 0 and is_primitive_root(cand, spec_p):
+        if cand % p != 0 and (cls := _classify_unit(cand, p, primes_p1)) is not RootClass.NOT_ROOT:
             if g == 0:
                 g = cand
-            if pow(cand, p - 1, p2) != 1:
+            if cls is RootClass.STATIONARY:
                 h = cand
         cand += 1
     return LeastRoots(p=p, g=g, h=h, gs=h)

@@ -24,9 +24,9 @@ from .arith import (
     is_prime,
     omega_mobius_tables,
     phi_table,
+    prime_windows,
     primes_in_range,
     primes_upto,
-    spf_table,
 )
 from .errors import ContractError
 from .modmath import multiplicative_order
@@ -51,7 +51,6 @@ SURVEY_BLOCK_CELLS = 1 << 14  # at most this many (p, g) pairs per stationary_su
 # 2z = 2e4, for one prime with nine primes in p-1 (the most below 2**29).
 SURVEY_CELL_BYTES = 32
 LEAST_ROOTS_BLOCK = 16  # primes per task in the least-root scans
-FIXED_G_BLOCK = 1 << 20  # integers per fixed_g_density pass (~80k primes)
 PROGRESS_EVERY = 256  # rows between progress reports
 
 FIXED_POINT_BITS = 128  # fractional bits for large accumulations
@@ -272,7 +271,7 @@ def mixed_main_term(x: int, reference_c2: float | None = None) -> MixedMainTermR
     phi = phi_table(2 * x)
     acc = 0
     count = 0
-    for p in primes_in_range(x, 2 * x).primes:
+    for p in primes_in_range(x, 2 * x):
         f = int(phi[p - 1])
         num = f * (p * p + (p - 1) * f)
         den = (p - 1) * p * p
@@ -369,50 +368,69 @@ def survey_row(p: int, z: int) -> SurveyRow:
             n_s += 1
         elif cls is RootClass.NONSTATIONARY:
             n_n += 1
-    return _survey_row(z, n_s, n_n, _least_roots(spec))
+    return _survey_row(z, n_s, n_n, _least_roots(p, primes_p1))
 
 
-def _survey_block(primes: tuple[int, ...], z: int) -> list[SurveyRow]:
-    """survey_row for each prime of a block, classified by the batch kernel."""
-    specs = [CyclicGroupSpec.for_prime(p) for p in primes]  # validates each p once
-    n_s, n_n = _count_roots_batch(
-        primes, [[q for q, _ in s.order_factorization.factors] for s in specs], 2 * z
-    )
-    return [
-        _survey_row(z, int(s), int(n), _least_roots(spec)) for spec, s, n in zip(specs, n_s, n_n)
-    ]
+def _survey_block(block: tuple[list, list], z: int) -> list[SurveyRow]:
+    """survey_row for each prime of a block (primes, primes of each p-1), by the batch kernel."""
+    n_s, n_n = _count_roots_batch(*block, 2 * z)
+    return [_survey_row(z, int(s), int(n), r) for s, n, r in zip(n_s, n_n, map(_least_roots, *block))]
 
 
-def _least_roots_block(primes: tuple[int, ...]) -> list[LeastRoots]:
-    return [least_roots(p) for p in primes]
+def _disagreements_block(block: tuple[list, list]) -> list[LeastRoots]:
+    """The least roots of the block's primes with g(p) != h(p)."""
+    return [r for r in map(_least_roots, *block) if r.g != r.h]
 
 
-def _blocks(items: list, size: int) -> list[tuple]:
-    return [tuple(items[i : i + size]) for i in range(0, len(items), size)]
+def _gs_block(block: tuple[list, list]) -> list[tuple[int, int]]:
+    return [(r.p, r.gs) for r in map(_least_roots, *block)]
 
 
-def _window_map(fn, blocks: list[tuple], workers: int, progress=None) -> list:
-    """Concatenated fn(block) over the blocks, in block order.
+def _window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """prime_windows(lo, hi) collected as (p, bounds, q).
 
-    fn returns one result per item of its block.  progress(done, total) is
-    called whenever the count of results passes a multiple of PROGRESS_EVERY.
+    The primes of p[i] - 1 are q[bounds[i] : bounds[i + 1]], ascending.
     """
-    total = sum(len(b) for b in blocks)
+    ps, qs, counts = [], [], []
+    for p, owner, q in prime_windows(lo, hi):
+        ps.append(p)
+        qs.append(q[np.argsort(owner, kind="stable")])
+        counts.append(np.bincount(owner, minlength=len(p)))
+    bounds = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return np.concatenate(ps), bounds, np.concatenate(qs)
+
+
+def _window_map(fn, window, size: int, workers: int, progress=None) -> list:
+    """Concatenated fn(block) over the window in blocks of `size` primes, in order.
+
+    A block is (primes, primes of each p-1), as lists, built as it is
+    handed out.  progress(done, total) is called whenever the count of
+    primes done passes a multiple of PROGRESS_EVERY.
+    """
+    p, bounds, q = window
+
+    def blocks():
+        for i in range(0, len(p), size):
+            cuts = bounds[i : i + size + 1].tolist()
+            qs = q[cuts[0] : cuts[-1]].tolist()
+            yield p[i : i + size].tolist(), [qs[a - cuts[0] : b - cuts[0]] for a, b in zip(cuts, cuts[1:])]
+
     if workers <= 1:
-        return _collect(map(fn, blocks), total, progress)
+        return _collect(map(fn, blocks()), size, len(p), progress)
     import multiprocessing
 
     with multiprocessing.Pool(workers) as pool:
-        return _collect(pool.imap(fn, blocks), total, progress)
+        return _collect(pool.imap(fn, blocks()), size, len(p), progress)
 
 
-def _collect(results, total: int, progress) -> list:
+def _collect(results, size: int, total: int, progress) -> list:
     out: list = []
+    done = 0
     for res in results:
-        before = len(out)
         out.extend(res)
-        if progress and len(out) // PROGRESS_EVERY > before // PROGRESS_EVERY:
-            progress(len(out), total)
+        before, done = done, min(done + size, total)
+        if progress and done // PROGRESS_EVERY > before // PROGRESS_EVERY:
+            progress(done, total)
     return out
 
 
@@ -428,16 +446,16 @@ def stationary_survey(
         raise ContractError("need x >= 2 and z >= 2")
     # every worker holds the g tables and at least one prime's block
     _check_table_budget(2 * z * max(1, workers), SURVEY_CELL_BYTES)
-    primes = [p for p in primes_in_range(x, 2 * x).primes if p % 2 == 1]
-    if not primes:
+    window = _window(x, 2 * x)
+    n_p = len(window[0])
+    if not n_p:
         raise ContractError(f"no odd primes in [{x}, {2 * x}]")
-    if 2 * z >= primes[0] ** 2:
-        raise ContractError(f"2z = {2 * z} reaches p^2 for p = {primes[0]}")
+    if 2 * z >= int(window[0][0]) ** 2:
+        raise ContractError(f"2z = {2 * z} reaches p^2 for p = {window[0][0]}")
     # a power of two up to PROGRESS_EVERY, so that block ends fall on its multiples
     per_block = min(PROGRESS_EVERY, 1 << (max(1, SURVEY_BLOCK_CELLS // (2 * z)).bit_length() - 1))
-    blocks = _blocks(primes, per_block)
     try:
-        rows = _window_map(partial(_survey_block, z=z), blocks, workers, progress)
+        rows = _window_map(partial(_survey_block, z=z), window, per_block, workers, progress)
     finally:
         _g_levels.cache_clear()  # the g tables of this z are not needed again
     n_s = sum(r.n_s for r in rows)
@@ -450,9 +468,9 @@ def stationary_survey(
         n_pr_total=n_pr,
         n_s_total=n_s,
         n_n_total=n_n,
-        ns_per_z_pi=n_s / (z * len(primes)),
+        ns_per_z_pi=n_s / (z * n_p),
         ns_per_z2=n_s / (z * z),
-        nn_per_z_pi=n_n / (z * len(primes)),
+        nn_per_z_pi=n_n / (z * n_p),
         nn_per_z2=n_n / (z * z),
     )
 
@@ -475,12 +493,11 @@ def least_root_agreement(x: int, workers: int = 1, progress=None) -> AgreementRe
     """Scan [x, 2x] for primes whose least root mod p fails to lift."""
     if x < 2:
         raise ContractError(f"need x >= 2, got {x}")
-    primes = [p for p in primes_in_range(x, 2 * x).primes if p % 2 == 1]
-    results = _window_map(_least_roots_block, _blocks(primes, LEAST_ROOTS_BLOCK), workers, progress)
-    exceptions = tuple(r for r in results if r.g != r.h)
+    window = _window(x, 2 * x)
+    exceptions = tuple(_window_map(_disagreements_block, window, LEAST_ROOTS_BLOCK, workers, progress))
     return AgreementReport(
         x=x,
-        n_agree=len(results) - len(exceptions),
+        n_agree=len(window[0]) - len(exceptions),
         n_disagree=len(exceptions),
         exceptions=exceptions,
     )
@@ -519,15 +536,9 @@ def fixed_g_density(g: int, x: int) -> FixedGDensity:
         raise ContractError(f"g = {g} excluded (unit or perfect square)")
     if x < 3:
         raise ContractError(f"need x >= 3, got {x}")
-    spf = spf_table(x)
     prime_count = 1  # p = 2 counts in the denominator only
     hits = 0
-    for lo in range(3, x + 1, FIXED_G_BLOCK):
-        hi = min(lo + FIXED_G_BLOCK, x + 1)
-        p = np.flatnonzero(spf[lo:hi] == np.arange(lo, hi, dtype=np.int32)) + lo
-        if not len(p):  # a block can hold no prime, e.g. [3 + 2**20, 2**20 + 6]
-            continue
-        owner, q = _prime_divisor_pairs(p - 1, spf)
+    for p, owner, q in prime_windows(3, x):
         hits += int(np.count_nonzero(_stationary_batch(_int_mod(g, p), p, owner, q)))
         prime_count += len(p)
     return FixedGDensity(
@@ -539,35 +550,13 @@ def fixed_g_density(g: int, x: int) -> FixedGDensity:
     )
 
 
-def _prime_divisor_pairs(m: np.ndarray, spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, q): every distinct prime q of m[owner], read off a smallest-prime-factor table.
-
-    One pass per distinct prime: each pass takes the smallest prime left in
-    every m > 1 and divides it out completely.
-    """
-    owners, qs = [], []
-    idx = np.arange(len(m))
-    m = m.astype(np.int64)
-    while True:
-        keep = m > 1
-        idx, m = idx[keep], m[keep]
-        if not len(m):
-            return np.concatenate(owners), np.concatenate(qs)
-        q = spf[m].astype(np.int64)
-        owners.append(idx)
-        qs.append(q)
-        m //= q
-        while (again := m % q == 0).any():
-            m[again] //= q[again]
-
-
 def _int_mod(n: int, p: np.ndarray) -> np.ndarray:
-    """n mod p for a Python int of any size and int64 primes p < 2**31.
+    """n mod p, as int64, for a Python int of any size and primes p < 2**31.
 
     Horner over 31-bit limbs of |n|: r * 2**31 + limb stays below 2**63.
     """
     m = abs(n)
-    r = np.zeros_like(p)
+    r = np.zeros(p.shape, dtype=np.int64)
     for shift in range(m.bit_length() // 31 * 31, -1, -31):
         r = ((r << 31) + ((m >> shift) & 0x7FFFFFFF)) % p
     return -r % p if n < 0 else r
@@ -722,9 +711,7 @@ def least_gs_stats(x: int, workers: int = 1, progress=None) -> GsStatsReport:
     """Max, mean and histogram of gs(p) for odd p <= x; evidence, no assertion."""
     if x < 3:
         raise ContractError(f"need x >= 3, got {x}")
-    primes = [p for p in primes_upto(x) if p % 2 == 1]
-    results = _window_map(_least_roots_block, _blocks(primes, LEAST_ROOTS_BLOCK), workers, progress)
-    values = tuple((r.p, r.gs) for r in results)
+    values = tuple(_window_map(_gs_block, _window(3, x), LEAST_ROOTS_BLOCK, workers, progress))
     hist = Counter(gs for _, gs in values)
     return GsStatsReport(
         x=x,

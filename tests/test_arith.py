@@ -67,20 +67,20 @@ def test_is_prime_above_certificate_bound():
 
 
 def test_primes_in_range_examples():
-    assert list(primes_in_range(2, 10).primes) == [2, 3, 5, 7]
+    assert primes_in_range(2, 10) == [2, 3, 5, 7]
     # trial division finds exactly 40483 and 40487 in this window
-    assert list(primes_in_range(40480, 40490).primes) == [
-        n for n in range(40480, 40491) if naive_is_prime(n)
-    ]
-    assert 40487 in primes_in_range(40480, 40490).primes
-    window = primes_in_range(10**6, 10**6 + 100).primes
-    assert list(window) == [n for n in range(10**6, 10**6 + 101) if naive_is_prime(n)]
+    assert primes_in_range(40480, 40490) == [n for n in range(40480, 40491) if naive_is_prime(n)]
+    assert 40487 in primes_in_range(40480, 40490)
+    window = primes_in_range(10**6, 10**6 + 100)
+    assert window == [n for n in range(10**6, 10**6 + 101) if naive_is_prime(n)]
 
 
-def test_primes_in_range_segment_boundaries():
-    want = primes_in_range(900, 1200).primes
-    for seg in (64, 97, 1024):
-        assert primes_in_range(900, 1200, segment_size=seg).primes == want
+@pytest.mark.parametrize("seg", [64, 97, 1024])
+def test_primes_in_range_segment_boundaries(monkeypatch, seg):
+    want = [n for n in range(900, 1201) if naive_is_prime(n)]
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT_SIZE", seg)
+    assert primes_in_range(900, 1200) == want
+    assert primes_in_range(2, 1000) == naive_primes(1000)
 
 
 def test_primes_in_range_guards():
@@ -88,14 +88,6 @@ def test_primes_in_range_guards():
         primes_in_range(10, 5)
     with pytest.raises(ResourceLimitError):
         primes_in_range(0, 10**12)
-
-
-def test_segment_size_env_override(monkeypatch):
-    monkeypatch.setenv("PRIMROOT_SEGMENT_SIZE", "128")
-    assert list(primes_in_range(2, 1000).primes) == naive_primes(1000)
-    monkeypatch.setenv("PRIMROOT_SEGMENT_SIZE", "1")
-    with pytest.raises(ContractError):
-        primes_in_range(2, 100)
 
 
 def test_primes_upto_complete():
@@ -193,9 +185,12 @@ def test_squarefree_divisor_count_is_two_to_omega():
         assert all(n % d == 0 for d, _ in divs)
 
 
-def test_tables_match_pointwise_functions():
+@pytest.mark.parametrize("seg", [None, 64])
+def test_tables_match_pointwise_functions(monkeypatch, seg):
     # 2209 = 47^2 sits on the isqrt(n) cut-off; 3000 leaves many m with one
     # prime factor above isqrt(n) for the cofactor fix-up
+    if seg:
+        monkeypatch.setattr(arith, "DEFAULT_SEGMENT_SIZE", seg)
     for n in (1, 2, 3, 4, 2209, 3000):
         phi = phi_table(n)
         w = omega_table(n)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primroot import roots
-from primroot.arith import is_prime, primes_upto, spf_table
+from primroot import arith, roots
+from primroot.arith import factorize, is_prime, primes_upto, spf_table
 from primroot.errors import ContractError
 from primroot.roots import (
     BATCH_PRIME_LIMIT,
@@ -17,7 +17,6 @@ from primroot.roots import (
     _pow_mod_batch,
 )
 from primroot.surveys import (
-    FIXED_G_BLOCK,
     _int_mod,
     _survey_block,
     fixed_g_density,
@@ -30,6 +29,11 @@ TOP_PRIMES = (2147483647, 2147483629)
 SMALL_PRIMES = [p for p in primes_upto(5000) if p > 2]
 
 odd_primes = st.one_of(st.sampled_from(SMALL_PRIMES), st.sampled_from(TOP_PRIMES))
+
+
+def block(primes) -> tuple[list, list]:
+    """A _survey_block block: the primes, and the primes of each p - 1 from factorize."""
+    return list(primes), [[q for q, _ in factorize(p - 1).factors] for p in primes]
 
 
 def fermat_quotient(a: int, p: int) -> int:
@@ -92,7 +96,7 @@ def test_survey_blocks_equal_survey_row(x, z):
 
 
 def test_survey_block_at_the_largest_kernel_primes():
-    assert _survey_block(TOP_PRIMES, 100) == [survey_row(p, 100) for p in TOP_PRIMES]
+    assert _survey_block(block(TOP_PRIMES), 100) == [survey_row(p, 100) for p in TOP_PRIMES]
 
 
 @pytest.mark.parametrize("primes, z", [((1009, 1013, 2147483647), 300), ((5, 7, 11), 12)])
@@ -100,7 +104,7 @@ def test_survey_block_in_small_chunks(monkeypatch, primes, z):
     # one (p, q) pair per Lucas table and 7 columns per numpy pass
     monkeypatch.setattr(roots, "KERNEL_CELLS", 1)
     monkeypatch.setattr(roots, "KERNEL_CHUNK", 7)
-    assert _survey_block(primes, z) == [survey_row(p, z) for p in primes]
+    assert _survey_block(block(primes), z) == [survey_row(p, z) for p in primes]
 
 
 @settings(max_examples=40, deadline=None)
@@ -113,9 +117,9 @@ def test_int_mod_matches_python(n):
 
 
 def test_fixed_g_density_past_a_block_with_no_prime():
-    # the second block starts at 3 + 2**20 = 7 * 149797; the next prime is 2**20 + 7
-    x = 3 + FIXED_G_BLOCK + 1
-    assert not any(is_prime(n) for n in range(3 + FIXED_G_BLOCK, x + 1))
+    # the second segment of [3, x] starts at 3 + 2**20 = 7 * 149797; the next prime is 2**20 + 7
+    x = 3 + arith.DEFAULT_SEGMENT_SIZE + 1
+    assert not any(is_prime(n) for n in range(3 + arith.DEFAULT_SEGMENT_SIZE, x + 1))
     spf = spf_table(x)
     hits = 0
     primes = primes_upto(x)

@@ -184,6 +184,8 @@ def test_contract_errors_exit_2(capsys):
         (["lift", "--p", "5", "--mode", "enumerate", "--k"], "--k"),
         (["charsum", "--trials"], "--trials"),
         (["charsum", "--p"], "--p"),
+        (["survey", "--x", "10", "--z", "5", "--workers"], "--workers"),
+        (["agreement", "--x", "10", "--workers"], "--workers"),
     ],
 )
 def test_explicit_nonpositive_values_exit_2(capsys, argv, flag, value):
@@ -275,14 +277,6 @@ def test_progress_goes_to_stderr_only(capsys):
     assert rc == 0
     json.loads(out)  # stdout parses cleanly
     assert "gs-stats" in err  # progress lines live on stderr
-
-
-def test_segment_size_env_flows_through_cli(capsys, monkeypatch):
-    rc, want, _ = run_cli(capsys, "survey", "--x", "10", "--z", "5", "--format", "csv")
-    monkeypatch.setenv("PRIMROOT_SEGMENT_SIZE", "256")
-    rc, got, _ = run_cli(capsys, "survey", "--x", "10", "--z", "5", "--format", "csv")
-    assert rc == 0
-    assert got == want
 
 
 GOLDEN_LEAST_40487 = '{"schema_version": 1, "p": 40487, "g": 5, "h": 10, "gs": 10}\n'

@@ -2,9 +2,11 @@
 
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from primroot import arith
 from primroot.arith import (
     euler_phi,
     factorize,
@@ -12,6 +14,8 @@ from primroot.arith import (
     omega,
     omega_mobius_tables,
     phi_table,
+    prime_windows,
+    primes_in_range,
     primes_upto,
     spf_table,
 )
@@ -53,3 +57,33 @@ def test_table_entries_equal_factorize(n, picks):
         assert w[m] == omega(f)
         assert mu[m] == mobius(f)
         assert spf[m] == (f.factors[0][0] if f.factors else 0)
+
+
+# hi at q^2 - 1, q^2 or q^2 + 1 for a prime q: where isqrt(hi) steps past q
+square_edges = st.sampled_from(primes_upto(173)).flatmap(
+    lambda q: st.sampled_from([q * q - 1, q * q, q * q + 1])
+)
+
+
+@pytest.mark.parametrize("seg", [64, 97])
+@settings(max_examples=40, deadline=None)
+@given(lo=st.integers(2, 30_000), hi=st.one_of(st.integers(2, 30_000), square_edges))
+@example(lo=2, hi=49)
+@example(lo=48, hi=49)
+@example(lo=3, hi=3)
+@example(lo=2**31, hi=2**31)  # a segment of m = p - 1 starting at 2**31 - 1
+@example(lo=2**31 - 1, hi=2**31)
+def test_window_primes_of_p_minus_1_equal_factorize(seg, lo, hi):
+    lo, hi = min(lo, hi), max(lo, hi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "DEFAULT_SEGMENT_SIZE", seg)
+        window = list(prime_windows(lo, hi))
+    primes = [p for p in primes_in_range(lo, hi) if p % 2]
+    assert [int(p) for seg_p, _, _ in window for p in seg_p] == primes
+    got = [[] for _ in primes]
+    start = 0
+    for seg_p, owner, q in window:
+        for i, qi in zip(owner.tolist(), q.tolist()):
+            got[start + i].append(qi)
+        start += len(seg_p)
+    assert got == [[q for q, _ in factorize(p - 1).factors] for p in primes]

@@ -357,3 +357,30 @@ def test_survey_row_validates_p_once(monkeypatch):
     row = survey_row(1009, 100)
     assert checked == [1009]
     assert (row.n_pr, row.n_s, row.n_n) == naive_classify_counts(1009, 100)
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        lambda: stationary_survey(1000, 20),
+        lambda: least_root_agreement(1000),
+        lambda: least_gs_stats(1000),
+        lambda: fixed_g_density(2, 10**4),
+    ],
+    ids=["survey", "agreement", "gs-stats", "fixed-g"],
+)
+def test_window_jobs_never_prove_or_factor(monkeypatch, job):
+    # p and the primes of p - 1 come off the sieve, never from Miller-Rabin or rho
+    import primroot
+
+    calls = []
+    for name, fn in (("is_prime", is_prime), ("factorize", factorize)):
+        def counting(n, _fn=fn, _name=name):
+            calls.append((_name, n))
+            return _fn(n)
+
+        for module in vars(primroot).values():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting)
+    job()
+    assert calls == []
