@@ -29,7 +29,7 @@ from .characters import (
     random_bound_trials,
 )
 from .errors import ContractError, DomainError, NotInvertibleError, ResourceLimitError
-from .modmath import OrderResult, inv_mod, mul_mod, multiplicative_order, pow_mod
+from .modmath import OrderResult, inv_mod, multiplicative_order
 from .roots import (
     CyclicGroupSpec,
     LeastRoots,

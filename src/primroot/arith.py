@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ContractError, ResourceLimitError
 
 # Witnesses proving primality for every n below 3317044064679887385961981,
@@ -122,7 +120,8 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # Sieves (numpy): prime flags, the one segmented sieve and what is built on it.
 # Each table checks its memory need against TABLE_BUDGET_BYTES before it
-# allocates anything.
+# allocates anything.  numpy is imported by the functions that use it, so
+# that importing this module, and everything scalar, never loads it.
 
 
 def _check_table_budget(n: int, entry_bytes: int) -> None:
@@ -135,8 +134,9 @@ def _check_table_budget(n: int, entry_bytes: int) -> None:
         )
 
 
-def prime_flags(n: int) -> np.ndarray:
+def prime_flags(n: int):
     """Boolean array a with a[i] == (i prime), for 0 <= i <= n."""
+    import numpy as np
     _check_table_budget(n, 1)
     flags = np.ones(n + 1, dtype=bool)
     flags[:2] = False
@@ -157,6 +157,7 @@ def _segments(lo: int, hi: int, cofactors: bool = True):
     while hi + 1 fits, in one buffer that the next segment overwrites.  Base
     primes reach one past hi so that prime_windows can sieve p over p - 1.
     """
+    import numpy as np
     if hi - lo > DEFAULT_MAX_SPAN:
         raise ResourceLimitError(f"range width {hi - lo} exceeds budget {DEFAULT_MAX_SPAN}")
     base = np.flatnonzero(prime_flags(math.isqrt(hi + 1))).tolist()
@@ -179,8 +180,9 @@ def _segments(lo: int, hi: int, cofactors: bool = True):
         yield start, size, marks, big
 
 
-def spf_table(n: int) -> np.ndarray:
+def spf_table(n: int):
     """Smallest prime factor of every 0 <= m <= n (int32; 0 at m = 0 and 1)."""
+    import numpy as np
     _check_table_budget(n, 4 + _SIEVE_WORK_BYTES)
     spf = np.zeros(n + 1, dtype=np.int32)
     for start, size, marks, _ in _segments(0, n, cofactors=False):
@@ -193,8 +195,9 @@ def spf_table(n: int) -> np.ndarray:
     return spf
 
 
-def phi_table(n: int) -> np.ndarray:
+def phi_table(n: int):
     """phi(m) for all 0 <= m <= n, as int32."""
+    import numpy as np
     _check_table_budget(n, 4 + _SIEVE_WORK_BYTES)
     phi = np.ones(n + 1, dtype=np.int32)
     for start, size, marks, big in _segments(0, n):
@@ -206,8 +209,9 @@ def phi_table(n: int) -> np.ndarray:
     return phi
 
 
-def omega_mobius_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+def omega_mobius_tables(n: int):
     """omega(m) and mu(m) for all 0 <= m <= n, as int8, from one sieve pass."""
+    import numpy as np
     _check_table_budget(n, 2 + _SIEVE_WORK_BYTES)
     w = np.zeros(n + 1, dtype=np.int8)
     mu = np.ones(n + 1, dtype=np.int8)
@@ -226,12 +230,12 @@ def omega_mobius_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return w, mu
 
 
-def omega_table(n: int) -> np.ndarray:
+def omega_table(n: int):
     """omega(m) for all 0 <= m <= n, as int8."""
     return omega_mobius_tables(n)[0]
 
 
-def mobius_table(n: int) -> np.ndarray:
+def mobius_table(n: int):
     """mu(m) for all 0 <= m <= n, as int8."""
     return omega_mobius_tables(n)[1]
 
@@ -248,12 +252,13 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
         return []
     out: list[int] = []
     for start, size, marks, _ in _segments(lo, hi, cofactors=False):
-        out.extend((np.flatnonzero(_primes_at(start, size, marks, 0)) + start).tolist())
+        out.extend((_primes_at(start, size, marks, 0).nonzero()[0] + start).tolist())
     return out
 
 
-def _primes_at(start: int, size: int, marks, shift: int) -> np.ndarray:
+def _primes_at(start: int, size: int, marks, shift: int):
     """flags[i] == (start + i + shift is prime), for start + shift >= 2."""
+    import numpy as np
     flags = np.ones(size, dtype=bool)
     for p, q, off in marks:
         if q == p:  # the multiples of p from p*p on
@@ -276,12 +281,13 @@ def prime_windows(lo: int, hi: int):
         yield _window_segment(*segment)
 
 
-def _window_segment(start: int, size: int, marks, big: np.ndarray):
+def _window_segment(start: int, size: int, marks, big):
     """prime_windows' (p, owner, q) for one segment of m = p - 1.
 
     A function of its own so that its temporaries are freed before the
     consumer of the segment runs.
     """
+    import numpy as np
     prime = _primes_at(start, size, marks, 1)
     at = np.flatnonzero(prime)  # m = start + at[k] is p - 1 for the k-th prime
     owners, qs = [], []
@@ -353,7 +359,18 @@ def _brent_rho(n: int) -> int:
         c += 1
 
 
-_SMALL_PRIMES = np.flatnonzero(prime_flags(_TRIAL_BOUND)).tolist()
+def _list_sieve(n: int) -> list[int]:
+    """The primes <= n by a sieve over a bytearray: prime_flags without numpy."""
+    flags = bytearray([1]) * (n + 1)
+    flags[:2] = b"\0\0"
+    for i in range(2, math.isqrt(n) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    return [i for i, f in enumerate(flags) if f]
+
+
+# built without numpy, so that importing this module never loads it
+_SMALL_PRIMES = _list_sieve(_TRIAL_BOUND)
 
 
 def factorize(n: int) -> Factorization:

@@ -18,26 +18,6 @@ if TYPE_CHECKING:
     from .roots import CyclicGroupSpec
 
 
-def mul_mod(a: int, b: int, n: int) -> int:
-    """Return (a * b) mod n exactly.
-
-    No floating point is involved anywhere; the product is formed at full
-    width before reduction.
-    """
-    if n < 1:
-        raise DomainError(f"modulus must be >= 1, got {n}")
-    return a * b % n
-
-
-def pow_mod(a: int, e: int, n: int) -> int:
-    """Return a**e mod n by square-and-multiply (a**0 == 1 for n > 1)."""
-    if n < 1:
-        raise DomainError(f"modulus must be >= 1, got {n}")
-    if e < 0:
-        raise DomainError(f"exponent must be >= 0, got {e}")
-    return pow(a, e, n)
-
-
 def inv_mod(a: int, n: int) -> int:
     """Return b in [0, n) with a*b == 1 (mod n)."""
     if n < 1:

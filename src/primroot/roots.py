@@ -11,9 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
-
-import numpy as np
 
 from .arith import (
     Factorization,
@@ -21,10 +18,9 @@ from .arith import (
     factorization_times_prime,
     factorize,
     is_prime,
-    spf_table,
 )
 from .errors import ContractError
-from .modmath import inv_mod, multiplicative_order, pow_mod
+from .modmath import inv_mod, multiplicative_order
 
 
 class RootClass(Enum):
@@ -197,168 +193,6 @@ def _classify_unit(u: int, p: int, primes_p1) -> RootClass:
     return RootClass.NONSTATIONARY
 
 
-# ---------------------------------------------------------------------------
-# Batch kernel: many (p, g) pairs at once, in exact int64 numpy arithmetic.
-#
-# Residues stay below p < 2**31, so every product stays below 2**62.  Mod p^2
-# a residue a = a1*p + a0 is held as its base-p digits, and
-#     a*b = a0*b0 + p*(a0*b1 + a1*b0)  (mod p^2)
-# with each product reduced mod p before the sum.  Both maps the test needs
-# are completely multiplicative in g: the Lucas residues
-# chi_q(g) = g^((p-1)/q) mod p multiply, and the Fermat quotient
-# Q_p(g) = (g^(p-1) - 1)/p mod p adds (Eisenstein's logarithm property).
-# A unit g is a root iff no chi_q(g) is 1, and stationary iff also Q_p(g) != 0.
-
-BATCH_PRIME_LIMIT = 1 << 31
-KERNEL_CELLS = 1 << 15  # (p, q, g) Lucas residues held at once by _count_roots_batch
-KERNEL_CHUNK = 1 << 16  # columns g per numpy pass of _count_roots_batch
-
-
-def _batch_primes(primes) -> np.ndarray:
-    """The primes as int64, checked once against the kernel's domain."""
-    p = np.asarray(primes, dtype=np.int64)
-    if p.size and int(p.max()) >= BATCH_PRIME_LIMIT:
-        raise ContractError(f"batch kernel needs primes below 2**31, got {int(p.max())}")
-    return p
-
-
-def _pow_mod_batch(base, exp, p) -> np.ndarray:
-    """base**exp mod p elementwise, for 0 <= base < p < 2**31 and exp >= 0."""
-    base, exp, p = np.broadcast_arrays(base, exp, p)
-    result = np.ones(base.shape, dtype=np.int64)
-    exp = exp.copy()
-    while exp.any():
-        odd = (exp & 1) == 1
-        result = np.where(odd, result * base % p, result)
-        base = base * base % p
-        exp >>= 1
-    return result
-
-
-def _mul_mod_p2_batch(a1, a0, b1, b0, p):
-    """(a1*p + a0) * (b1*p + b0) mod p^2, as base-p digits (high, low)."""
-    t = a0 * b0
-    return (t // p + a0 * b1 % p + a1 * b0 % p) % p, t % p
-
-
-def _fermat_quotient_batch(a, p) -> np.ndarray:
-    """Q_p(a) = (a**(p-1) - 1)/p mod p elementwise, for 0 <= a < p**2, p < 2**31.
-
-    Meaningless where p divides a; callers mask those entries.
-    """
-    a, p = np.broadcast_arrays(a, p)
-    b1, b0 = a // p, a % p
-    r1, r0 = np.zeros(a.shape, dtype=np.int64), np.ones(a.shape, dtype=np.int64)
-    exp = p - 1
-    while exp.any():
-        odd = (exp & 1) == 1
-        m1, m0 = _mul_mod_p2_batch(r1, r0, b1, b0, p)
-        r1, r0 = np.where(odd, m1, r1), np.where(odd, m0, r0)
-        b1, b0 = _mul_mod_p2_batch(b1, b0, b1, b0, p)
-        exp >>= 1
-    return r1  # a**(p-1) = 1 + p*Q_p(a) mod p^2
-
-
-def _chunks(a: np.ndarray):
-    return (a[i : i + KERNEL_CHUNK] for i in range(0, len(a), KERNEL_CHUNK))
-
-
-@lru_cache(maxsize=1)
-def _g_levels(gmax: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """(spf, ell, levels) over g in [0, gmax]: what _count_roots_batch needs of g.
-
-    spf is the smallest-prime-factor table and ell the primes <= gmax.
-    levels[i] holds the composites with i + 2 prime factors, counted with
-    multiplicity, so that spf[g] and g // spf[g] are prime or in an earlier
-    level.  Cached so that every block of a survey shares one build.
-    """
-    spf = spf_table(gmax)
-    g = np.arange(gmax + 1, dtype=np.int32)
-    ready = spf == g  # the primes, and 0 and 1, which no composite needs
-    ready[:2] = True
-    ell = np.flatnonzero(ready[2:]).astype(np.int32) + 2
-    cof = g // np.maximum(spf, 1)
-    levels = []
-    while not ready.all():
-        n = np.flatnonzero(~ready & ready[cof]).astype(np.int32)
-        ready[n] = True
-        levels.append(n)
-    for a in (spf, ell, *levels):
-        a.setflags(write=False)  # shared through the cache
-    return spf, ell, tuple(levels)
-
-
-def _fill_multiplicative(table: np.ndarray, gmax: int, at_primes, combine) -> None:
-    """table[:, g] for g in [2, gmax] from the columns at primes.
-
-    at_primes(ell) gives the columns at primes ell; combine(a, b) the column
-    at g = s * c from those at s = spf(g) and c.  KERNEL_CHUNK columns a pass.
-    """
-    spf, ell, levels = _g_levels(gmax)
-    for cols in _chunks(ell):
-        table[:, cols] = at_primes(cols)
-    for level in levels:
-        for n in _chunks(level):
-            s = spf[n]
-            table[:, n] = combine(table[:, s], table[:, n // s])
-
-
-def _count_roots_batch(primes, primes_p1, gmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary and nonstationary counts over g in [2, gmax], per odd prime.
-
-    primes_p1[i] lists the distinct primes of primes[i] - 1, and gmax < p**2
-    for every p.  chi_q and Q_p are computed at the primes l <= gmax only and
-    filled in over the composites.  Tables hold int32 residues: Q_p for every
-    prime, and chi_q for at most KERNEL_CELLS // (gmax + 1) pairs (p, q) at a
-    time, each folded into a not-root flag before the next.
-    """
-    p = _batch_primes(primes)
-    pc = p[:, None]
-    width = gmax + 1
-    not_root = np.zeros((len(p), width), dtype=bool)
-    for i in np.flatnonzero(p <= gmax):
-        not_root[i, :: p[i]] = True  # p | g: not a unit
-    owner = np.repeat(np.arange(len(p)), [len(qs) for qs in primes_p1])
-    q = np.fromiter((q for qs in primes_p1 for q in qs), np.int64, len(owner))
-    rows = max(1, KERNEL_CELLS // width)
-    for lo in range(0, len(owner), rows):
-        own = owner[lo : lo + rows]
-        pq = p[own, None]
-        chi = np.zeros((len(own), width), dtype=np.int32)
-        _fill_multiplicative(
-            chi, gmax,
-            lambda ell: _pow_mod_batch(ell % pq, (pq - 1) // q[lo : lo + rows, None], pq),
-            lambda a, b: a.astype(np.int64) * b % pq,
-        )
-        np.logical_or.at(not_root, own, chi == 1)
-    fq = np.zeros((len(p), width), dtype=np.int32)
-    _fill_multiplicative(
-        fq, gmax,
-        lambda ell: _fermat_quotient_batch(ell.astype(np.int64), pc),
-        lambda a, b: (a.astype(np.int64) + b) % pc,
-    )
-    roots = ~not_root[:, 2:]
-    n_s = np.count_nonzero(roots & (fq[:, 2:] != 0), axis=1)
-    return n_s, np.count_nonzero(roots, axis=1) - n_s
-
-
-def _stationary_batch(u, primes, owner, q) -> np.ndarray:
-    """Whether each residue u[i] (0 <= u[i] < p) is a stationary root of primes[i].
-
-    (owner, q) lists every distinct prime q of p-1 for p = primes[owner].  The
-    Fermat quotient is computed only where the Lucas test passes.
-    """
-    p = _batch_primes(primes)
-    pp = p[owner]
-    chi = _pow_mod_batch(u[owner], (pp - 1) // q, pp)
-    not_root = u == 0
-    np.logical_or.at(not_root, owner, chi == 1)
-    roots = ~not_root
-    stationary = np.zeros(len(p), dtype=bool)
-    stationary[roots] = _fermat_quotient_batch(u[roots], p[roots]) != 0
-    return stationary
-
-
 def classify(g: int, p: int, fac_p1: Factorization | None = None) -> RootClass:
     """Classify g relative to p: NotCoprime, NotRoot, Nonstationary, Stationary."""
     if g < 1:
@@ -384,7 +218,7 @@ def bad_lift_residue(root: int, p: int) -> int:
     # 1 - root**(p-1) is divisible by p by Fermat; the quotient is taken mod p
     q = (1 - fermat) % p2 // p
     a = q * inv_mod((p - 1) * pow(root, p - 2, p) % p, p) % p
-    if pow_mod(root + a * p, p - 1, p2) != 1:
+    if pow(root + a * p, p - 1, p2) != 1:
         raise ArithmeticError(f"closed-form residue {a} does not fail to lift {root} mod {p}^2")
     return a
 

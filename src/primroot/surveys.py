@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from operator import attrgetter
 
-import numpy as np
-
 from .arith import (
     _check_table_budget,
     first_primes,
@@ -35,10 +33,7 @@ from .roots import (
     LeastRoots,
     RootClass,
     _classify_unit,
-    _count_roots_batch,
-    _g_levels,
     _least_roots,
-    _stationary_batch,
     least_roots,
 )
 
@@ -373,6 +368,7 @@ def survey_row(p: int, z: int) -> SurveyRow:
 
 def _survey_block(block: tuple[list, list], z: int) -> list[SurveyRow]:
     """survey_row for each prime of a block (primes, primes of each p-1), by the batch kernel."""
+    from ._kernel import _count_roots_batch
     n_s, n_n = _count_roots_batch(*block, 2 * z)
     return [_survey_row(z, int(s), int(n), r) for s, n, r in zip(n_s, n_n, map(_least_roots, *block))]
 
@@ -386,18 +382,9 @@ def _gs_block(block: tuple[list, list]) -> list[tuple[int, int]]:
     return [(r.p, r.gs) for r in map(_least_roots, *block)]
 
 
-def _window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """prime_windows(lo, hi) collected as (p, bounds, q).
-
-    The primes of p[i] - 1 are q[bounds[i] : bounds[i + 1]], ascending.
-    """
-    ps, qs, counts = [], [], []
-    for p, owner, q in prime_windows(lo, hi):
-        ps.append(p)
-        qs.append(q[np.argsort(owner, kind="stable")])
-        counts.append(np.bincount(owner, minlength=len(p)))
-    bounds = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    return np.concatenate(ps), bounds, np.concatenate(qs)
+def _require_workers(workers: int) -> None:
+    if workers < 1:
+        raise ContractError(f"workers must be >= 1, got {workers}")
 
 
 def _window_map(fn, window, size: int, workers: int, progress=None) -> list:
@@ -415,7 +402,7 @@ def _window_map(fn, window, size: int, workers: int, progress=None) -> list:
             qs = q[cuts[0] : cuts[-1]].tolist()
             yield p[i : i + size].tolist(), [qs[a - cuts[0] : b - cuts[0]] for a, b in zip(cuts, cuts[1:])]
 
-    if workers <= 1:
+    if workers == 1:
         return _collect(map(fn, blocks()), size, len(p), progress)
     import multiprocessing
 
@@ -442,10 +429,12 @@ def stationary_survey(
     Rows are ordered by p and aggregates are summed in that order, so the
     output is identical for any worker count.
     """
+    from ._kernel import _g_levels, _window
     if x < 2 or z < 2:
         raise ContractError("need x >= 2 and z >= 2")
+    _require_workers(workers)
     # every worker holds the g tables and at least one prime's block
-    _check_table_budget(2 * z * max(1, workers), SURVEY_CELL_BYTES)
+    _check_table_budget(2 * z * workers, SURVEY_CELL_BYTES)
     window = _window(x, 2 * x)
     n_p = len(window[0])
     if not n_p:
@@ -491,8 +480,10 @@ class AgreementReport(Report):
 
 def least_root_agreement(x: int, workers: int = 1, progress=None) -> AgreementReport:
     """Scan [x, 2x] for primes whose least root mod p fails to lift."""
+    from ._kernel import _window
     if x < 2:
         raise ContractError(f"need x >= 2, got {x}")
+    _require_workers(workers)
     window = _window(x, 2 * x)
     exceptions = tuple(_window_map(_disagreements_block, window, LEAST_ROOTS_BLOCK, workers, progress))
     return AgreementReport(
@@ -532,6 +523,7 @@ def fixed_g_density(g: int, x: int) -> FixedGDensity:
     almost all p, so their density question is vacuous.  p = 2 counts in the
     denominator but never in the numerator.
     """
+    from ._kernel import _int_mod, _stationary_batch
     if g in (-1, 0, 1) or (g > 1 and math.isqrt(g) ** 2 == g):
         raise ContractError(f"g = {g} excluded (unit or perfect square)")
     if x < 3:
@@ -539,7 +531,7 @@ def fixed_g_density(g: int, x: int) -> FixedGDensity:
     prime_count = 1  # p = 2 counts in the denominator only
     hits = 0
     for p, owner, q in prime_windows(3, x):
-        hits += int(np.count_nonzero(_stationary_batch(_int_mod(g, p), p, owner, q)))
+        hits += int(_stationary_batch(_int_mod(g, p), p, owner, q).sum())
         prime_count += len(p)
     return FixedGDensity(
         g=g,
@@ -548,18 +540,6 @@ def fixed_g_density(g: int, x: int) -> FixedGDensity:
         prime_count=prime_count,
         fraction=hits / prime_count,
     )
-
-
-def _int_mod(n: int, p: np.ndarray) -> np.ndarray:
-    """n mod p, as int64, for a Python int of any size and primes p < 2**31.
-
-    Horner over 31-bit limbs of |n|: r * 2**31 + limb stays below 2**63.
-    """
-    m = abs(n)
-    r = np.zeros(p.shape, dtype=np.int64)
-    for shift in range(m.bit_length() // 31 * 31, -1, -31):
-        r = ((r << 31) + ((m >> shift) & 0x7FFFFFFF)) % p
-    return -r % p if n < 0 else r
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +568,11 @@ class OmegaSumsReport(Report):
 
 def omega_sums(x: int) -> OmegaSumsReport:
     """Sum 2^omega(n) over n <= x and three shifted-prime sums, via sieves."""
+    from ._kernel import _sum_two_pow
     if x < 2:
         raise ContractError(f"need x >= 2, got {x}")
     w, mu = omega_mobius_tables(x)
-    primes = np.flatnonzero((w == 1) & (mu == -1))  # squarefree with one prime: prime
+    primes = ((w == 1) & (mu == -1)).nonzero()[0]  # squarefree with one prime: prime
     w_shifted = w[primes - 1]
     mu_shifted = mu[primes - 1]
     total_all = _sum_two_pow(w[1:])
@@ -614,14 +595,6 @@ def omega_sums(x: int) -> OmegaSumsReport:
         omega_shifted_per_prime=omega_shifted / n_primes,
         mu_omega_per_prime=mu_omega / n_primes,
     )
-
-
-def _sum_two_pow(w: np.ndarray) -> int:
-    """Sum of 2**w over an array of small non-negative ints, by value counts.
-
-    Counted one value at a time: np.bincount would first copy w to intp.
-    """
-    return sum(int(np.count_nonzero(w == k)) << k for k in range(int(w.max()) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +682,10 @@ class GsStatsReport(Report):
 
 def least_gs_stats(x: int, workers: int = 1, progress=None) -> GsStatsReport:
     """Max, mean and histogram of gs(p) for odd p <= x; evidence, no assertion."""
+    from ._kernel import _window
     if x < 3:
         raise ContractError(f"need x >= 3, got {x}")
+    _require_workers(workers)
     values = tuple(_window_map(_gs_block, _window(3, x), LEAST_ROOTS_BLOCK, workers, progress))
     hist = Counter(gs for _, gs in values)
     return GsStatsReport(

@@ -101,6 +101,11 @@ def test_first_primes():
     assert ps[-1] == 104729
 
 
+def test_small_primes_equal_the_numpy_sieve():
+    # factorize's trial-division list is built without numpy
+    assert arith._SMALL_PRIMES == np.flatnonzero(prime_flags(arith._TRIAL_BOUND)).tolist()
+
+
 def test_factorize_examples():
     assert factorize(40486).factors == ((2, 1), (31, 1), (653, 1))
     assert factorize(1).factors == ()

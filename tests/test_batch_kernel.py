@@ -5,19 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primroot import arith, roots
-from primroot.arith import factorize, is_prime, primes_upto, spf_table
-from primroot.errors import ContractError
-from primroot.roots import (
+from primroot import _kernel, arith
+from primroot._kernel import (
     BATCH_PRIME_LIMIT,
-    RootClass,
     _batch_primes,
-    _classify_unit,
     _fermat_quotient_batch,
+    _int_mod,
     _pow_mod_batch,
 )
+from primroot.arith import factorize, is_prime, primes_upto, spf_table
+from primroot.errors import ContractError
+from primroot.roots import RootClass, _classify_unit
 from primroot.surveys import (
-    _int_mod,
     _survey_block,
     fixed_g_density,
     stationary_survey,
@@ -102,8 +101,8 @@ def test_survey_block_at_the_largest_kernel_primes():
 @pytest.mark.parametrize("primes, z", [((1009, 1013, 2147483647), 300), ((5, 7, 11), 12)])
 def test_survey_block_in_small_chunks(monkeypatch, primes, z):
     # one (p, q) pair per Lucas table and 7 columns per numpy pass
-    monkeypatch.setattr(roots, "KERNEL_CELLS", 1)
-    monkeypatch.setattr(roots, "KERNEL_CHUNK", 7)
+    monkeypatch.setattr(_kernel, "KERNEL_CELLS", 1)
+    monkeypatch.setattr(_kernel, "KERNEL_CHUNK", 7)
     assert _survey_block(block(primes), z) == [survey_row(p, z) for p in primes]
 
 

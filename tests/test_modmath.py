@@ -6,60 +6,8 @@ import pytest
 from conftest import naive_order
 from primroot.arith import euler_phi, factorize, primes_upto
 from primroot.errors import DomainError, NotInvertibleError
-from primroot.modmath import inv_mod, mul_mod, multiplicative_order, pow_mod
+from primroot.modmath import inv_mod, multiplicative_order
 from primroot.roots import CyclicGroupSpec
-
-
-def test_mul_mod_small():
-    assert mul_mod(2, 3, 7) == 6
-    for x in (0, 1, 5, 40486):
-        assert mul_mod(0, x, 40487) == 0
-        assert mul_mod(x, 0, 40487) == 0
-
-
-def test_mul_mod_wide():
-    p = 40487
-    assert mul_mod(40486, 40486, p * p) == 40486 * 40486 % (p * p)
-
-
-def test_mul_mod_against_bigint_oracle():
-    rng = random.Random(7)
-    for bits in (63, 120):
-        top = 1 << bits
-        for _ in range(5000):
-            n = rng.randrange(top // 2, top)
-            a = rng.randrange(n)
-            b = rng.randrange(n)
-            assert mul_mod(a, b, n) == a * b % n
-
-
-def test_pow_mod_against_oracle():
-    rng = random.Random(8)
-    for bits in (63, 120):
-        top = 1 << bits
-        for _ in range(5000):
-            n = rng.randrange(top // 2, top)
-            a = rng.randrange(n)
-            e = rng.randrange(1 << 30)
-            assert pow_mod(a, e, n) == pow(a, e, n)
-
-
-def test_pow_mod_fermat_cases():
-    p = 40487
-    assert pow_mod(5, 2 * 31 * 653, p * p) == 1
-    assert pow_mod(19, 42, 43 * 43) == 1
-    for a in (1, 2, 971):
-        assert pow_mod(a, 0, 1009) == 1
-    assert pow_mod(5, 0, 1) == 0  # everything collapses mod 1
-
-
-def test_zero_modulus_rejected():
-    with pytest.raises(DomainError):
-        mul_mod(1, 1, 0)
-    with pytest.raises(DomainError):
-        pow_mod(2, 3, 0)
-    with pytest.raises(DomainError):
-        pow_mod(2, -1, 7)
 
 
 def test_inv_mod():
@@ -108,7 +56,7 @@ def test_fermat_euler_exhaustive_small():
         phi = euler_phi(factorize(n))
         for a in range(1, n):
             if math.gcd(a, n) == 1:
-                assert pow_mod(a, phi, n) == 1
+                assert pow(a, phi, n) == 1
 
 
 def test_fermat_euler_sampled_to_1e4():
@@ -117,7 +65,7 @@ def test_fermat_euler_sampled_to_1e4():
         n = rng.randrange(2, 10**4 + 1)
         a = rng.randrange(1, n)
         if math.gcd(a, n) == 1:
-            assert pow_mod(a, euler_phi(factorize(n)), n) == 1
+            assert pow(a, euler_phi(factorize(n)), n) == 1
 
 
 def test_order_divides_group_order():

@@ -4,14 +4,41 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).parents[1] / "src" / "primroot"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def modules():
+    """(file name, syntax tree) of every library module."""
+    return [(path.name, ast.parse(path.read_text(), str(path))) for path in sorted(SRC.glob("*.py"))]
 
 
 def test_no_assert_statements_in_the_library():
     # python -O strips assert statements, so no check may rest on one
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        f"{name}:{node.lineno}"
+        for name, tree in modules()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def numpy_imports(node, in_function=False):
+    """(line, whether inside a function body) of each import of numpy under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            names = [child.module]
+        else:
+            names = []
+        if any(n == "numpy" or n.startswith("numpy.") for n in names):
+            yield child.lineno, in_function
+        yield from numpy_imports(child, in_function or isinstance(child, FUNCTIONS))
+
+
+def test_only_the_kernel_module_imports_numpy_when_loaded():
+    # import primroot and the scalar commands must not load numpy: every
+    # other module imports it inside the functions that use it
+    at_load = [name for name, tree in modules() for _, in_function in numpy_imports(tree) if not in_function]
+    assert at_load == ["_kernel.py"]

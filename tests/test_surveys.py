@@ -152,6 +152,12 @@ def test_survey_refuses_z_over_budget():
         stationary_survey(10**8, 6 * 10**6, workers=3)
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_survey_refuses_workers_below_1(workers):
+    with pytest.raises(ContractError, match="workers must be >= 1"):
+        stationary_survey(50, 5, workers=workers)
+
+
 def test_survey_nonstationary_rare():
     rep = stationary_survey(1000, 100)
     assert rep.n_n_total / rep.n_pr_total < 0.05
@@ -176,6 +182,12 @@ def test_agreement_small_window_clean():
     assert rep.n_disagree == 0
     assert rep.n_agree == 4  # 11, 13, 17, 19
     assert rep.exceptions == ()
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_agreement_refuses_workers_below_1(workers):
+    with pytest.raises(ContractError, match="workers must be >= 1"):
+        least_root_agreement(50, workers=workers)
 
 
 def test_agreement_window_finds_40487():
@@ -314,6 +326,12 @@ def test_least_gs_stats_small():
         assert gs == r.gs
     assert rep.max_gs == max(gs for _, gs in rep.values)
     assert sum(rep.histogram.values()) == rep.count
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_least_gs_stats_refuses_workers_below_1(workers):
+    with pytest.raises(ContractError, match="workers must be >= 1"):
+        least_gs_stats(50, workers=workers)
 
 
 def test_least_gs_envelope():
