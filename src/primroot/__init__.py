@@ -12,7 +12,6 @@ from .arith import (
     omega,
     primes_in_range,
     primes_upto,
-    squarefree_divisors,
 )
 from .characters import (
     CharacterIndex,

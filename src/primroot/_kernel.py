@@ -208,4 +208,4 @@ def _sum_two_pow(w: np.ndarray) -> int:
 
     Counted one value at a time: np.bincount would first copy w to intp.
     """
-    return sum(int(np.count_nonzero(w == k)) << k for k in range(int(w.max()) + 1))
+    return sum(int(np.count_nonzero(w == k)) << k for k in range(int(w.max(initial=0)) + 1))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import starmap
 
 from .errors import ContractError, ResourceLimitError
 
@@ -27,11 +28,8 @@ _TRIAL_BOUND = 1000  # strip factors below this before Pollard rho
 
 DEFAULT_SEGMENT_SIZE = 1 << 20  # integers per sieve segment
 DEFAULT_MAX_SPAN = 1 << 28  # widest [lo, hi] any sieve walk accepts
-# Bytes a bulk table may hold at its peak: int32 entries over the widest span.
+# Bytes a bulk table's entries may take: int32 entries over the widest span.
 TABLE_BUDGET_BYTES = 4 * DEFAULT_MAX_SPAN
-# Sieve work per table entry in the budget check (int32 cofactors, a bool mask);
-# kept since the sieve went per segment, so that table limits do not move.
-_SIEVE_WORK_BYTES = 5
 
 
 @dataclass(frozen=True)
@@ -155,7 +153,7 @@ def _segments(lo: int, hi: int, cofactors: bool = True):
     multiple of q at or after start, maybe past the segment.  big[i] is the
     prime factor of start + i above the base primes, or 1 (0 at 0): int32
     while hi + 1 fits, in one buffer that the next segment overwrites.  Base
-    primes reach one past hi so that prime_windows can sieve p over p - 1.
+    primes reach one past hi so that _shifted_segments can sieve p over p - 1.
     """
     import numpy as np
     if hi - lo > DEFAULT_MAX_SPAN:
@@ -183,7 +181,7 @@ def _segments(lo: int, hi: int, cofactors: bool = True):
 def spf_table(n: int):
     """Smallest prime factor of every 0 <= m <= n (int32; 0 at m = 0 and 1)."""
     import numpy as np
-    _check_table_budget(n, 4 + _SIEVE_WORK_BYTES)
+    _check_table_budget(n, 4)
     spf = np.zeros(n + 1, dtype=np.int32)
     for start, size, marks, _ in _segments(0, n, cofactors=False):
         seg = spf[start : start + size]
@@ -195,37 +193,49 @@ def spf_table(n: int):
     return spf
 
 
+def _phi_segment(marks, big):
+    """phi over one segment of _segments, in big's dtype (0 at m = 0)."""
+    phi = big - (big > 1)  # phi(r) = r - 1 at the large prime r, 1 where there is none
+    for p, q, off in marks:
+        phi[off::q] *= p - 1 if q == p else p
+    return phi
+
+
+def _omega_mobius_segment(marks, big):
+    """omega and mu over one segment of _segments, as int8 (mu = 1 at m = 0)."""
+    import numpy as np
+    w = np.zeros(len(big), dtype=np.int8)
+    mu = np.ones(len(big), dtype=np.int8)
+    for p, q, off in marks:
+        if q == p:
+            w[off::p] += 1
+            mu[off::p] *= -1
+        elif q == p * p:
+            mu[off::q] = 0
+    has_big = big > 1
+    w += has_big
+    np.negative(mu, out=mu, where=has_big)
+    return w, mu
+
+
 def phi_table(n: int):
     """phi(m) for all 0 <= m <= n, as int32."""
     import numpy as np
-    _check_table_budget(n, 4 + _SIEVE_WORK_BYTES)
-    phi = np.ones(n + 1, dtype=np.int32)
+    _check_table_budget(n, 4)
+    phi = np.empty(n + 1, dtype=np.int32)  # no page touched before the span guard passes
     for start, size, marks, big in _segments(0, n):
-        seg = phi[start : start + size]
-        for p, q, off in marks:
-            seg[off::q] *= p - 1 if q == p else p
-        big -= big > 1  # phi(r) = r - 1 at the large prime r, 1 where there is none
-        seg *= big  # big = 0 at 0 sets phi(0) = 0
+        phi[start : start + size] = _phi_segment(marks, big)
     return phi
 
 
 def omega_mobius_tables(n: int):
     """omega(m) and mu(m) for all 0 <= m <= n, as int8, from one sieve pass."""
     import numpy as np
-    _check_table_budget(n, 2 + _SIEVE_WORK_BYTES)
-    w = np.zeros(n + 1, dtype=np.int8)
-    mu = np.ones(n + 1, dtype=np.int8)
+    _check_table_budget(n, 2)
+    w = np.empty(n + 1, dtype=np.int8)  # no page touched before the span guard passes
+    mu = np.empty(n + 1, dtype=np.int8)
     for start, size, marks, big in _segments(0, n):
-        ws, mus = w[start : start + size], mu[start : start + size]
-        for p, q, off in marks:
-            if q == p:
-                ws[off::p] += 1
-                mus[off::p] *= -1
-            elif q == p * p:
-                mus[off::q] = 0
-        has_big = big > 1
-        ws += has_big
-        np.negative(mus, out=mus, where=has_big)
+        w[start : start + size], mu[start : start + size] = _omega_mobius_segment(marks, big)
     mu[0] = 0
     return w, mu
 
@@ -266,6 +276,13 @@ def _primes_at(start: int, size: int, marks, shift: int):
     return flags
 
 
+def _shifted_segments(lo: int, hi: int):
+    """The one walk over m = p - 1: (start, size, marks, big, prime) per segment
+    of _segments(lo, hi), lo >= 1, where prime[i] == (start + i + 1 is prime)."""
+    for start, size, marks, big in _segments(lo, hi):
+        yield start, size, marks, big, _primes_at(start, size, marks, 1)
+
+
 def prime_windows(lo: int, hi: int):
     """The odd primes of [lo, hi] with the distinct primes of each p - 1.
 
@@ -277,18 +294,17 @@ def prime_windows(lo: int, hi: int):
     lo = max(lo, 3)
     if lo > hi:
         return
-    for segment in _segments(lo - 1, hi - 1):
-        yield _window_segment(*segment)
+    # starmap drops each segment's arrays before the consumer of its window runs
+    yield from starmap(_window_segment, _shifted_segments(lo - 1, hi - 1))
 
 
-def _window_segment(start: int, size: int, marks, big):
+def _window_segment(start: int, size: int, marks, big, prime):
     """prime_windows' (p, owner, q) for one segment of m = p - 1.
 
     A function of its own so that its temporaries are freed before the
     consumer of the segment runs.
     """
     import numpy as np
-    prime = _primes_at(start, size, marks, 1)
     at = np.flatnonzero(prime)  # m = start + at[k] is p - 1 for the k-th prime
     owners, qs = [], []
     for p, q, off in marks:
@@ -430,11 +446,3 @@ def mobius(f: Factorization) -> int:
         return 0
     return -1 if len(f.factors) % 2 else 1
 
-
-def squarefree_divisors(f: Factorization) -> list[tuple[int, int]]:
-    """All 2**omega(n) squarefree divisors d of n with their mu(d), ascending."""
-    divs = [(1, 1)]
-    for p, _ in f.factors:
-        divs += [(d * p, -mu) for d, mu in divs]
-    divs.sort()
-    return divs

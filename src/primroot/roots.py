@@ -136,14 +136,6 @@ def _require_odd_prime(p: int) -> None:
         raise ContractError(f"{p} is not an odd prime")
 
 
-def _require_root_mod_p(g: int, spec_p: CyclicGroupSpec) -> None:
-    p = spec_p.prime
-    if math.gcd(g, p) != 1 or any(
-        pow(g, (p - 1) // q, p) == 1 for q, _ in spec_p.order_factorization.factors
-    ):
-        raise ContractError(f"{g} is not a primitive root mod {p}")
-
-
 def lifts_to_p2(g: int, p: int) -> bool:
     """Whether a primitive root mod p stays one mod p^2.
 
@@ -151,7 +143,8 @@ def lifts_to_p2(g: int, p: int) -> bool:
     mod p^2 under the precondition.  Raises ContractError when g is not a
     primitive root mod p.
     """
-    _require_root_mod_p(g, CyclicGroupSpec.for_prime(p))
+    if not is_primitive_root(g, CyclicGroupSpec.for_prime(p)):
+        raise ContractError(f"{g} is not a primitive root mod {p}")
     return pow(g, p - 1, p * p) != 1
 
 
@@ -212,7 +205,8 @@ def bad_lift_residue(root: int, p: int) -> int:
     """
     if not 0 < root < p:
         raise ContractError(f"need 0 < root < p, got root={root}, p={p}")
-    _require_root_mod_p(root, CyclicGroupSpec.for_prime(p))
+    if not is_primitive_root(root, CyclicGroupSpec.for_prime(p)):
+        raise ContractError(f"{root} is not a primitive root mod {p}")
     p2 = p * p
     fermat = pow(root, p - 1, p2)
     # 1 - root**(p-1) is divisible by p by Fermat; the quotient is taken mod p
@@ -265,9 +259,8 @@ def lift_enumerate(p: int, k: int, roots_k: list[int]) -> list[int]:
     complete level-k set and a in [0, p).  The output size is checked against
     phi(phi(p^(k+1))); a short count means the input set was incomplete.
     """
-    _require_odd_prime(p)
+    spec_up = CyclicGroupSpec.for_prime_power(p, k + 1)  # validates p
     pk = p**k
-    spec_up = CyclicGroupSpec.for_prime_power(p, k + 1)
     found = []
     for tau in roots_k:
         if not 1 <= tau <= pk:
@@ -323,7 +316,8 @@ def lift_pair_check(root: int, p: int, kmax: int) -> LiftPairReport:
     a False pair in the report would be a genuine counterexample.
     """
     spec_p = CyclicGroupSpec.for_prime(p)
-    _require_root_mod_p(root, spec_p)
+    if not is_primitive_root(root, spec_p):
+        raise ContractError(f"{root} is not a primitive root mod {p}")
     inverse = inv_mod(root, p)
     steps = []
     for k in range(1, kmax + 1):

@@ -18,13 +18,11 @@ from operator import attrgetter
 
 from .arith import (
     _check_table_budget,
+    _omega_mobius_segment,
+    _phi_segment,
+    _shifted_segments,
     first_primes,
-    is_prime,
-    omega_mobius_tables,
-    phi_table,
     prime_windows,
-    primes_in_range,
-    primes_upto,
 )
 from .errors import ContractError
 from .modmath import multiplicative_order
@@ -219,18 +217,14 @@ def totient_ratio_sum(x: int, k: int = 1, exact: bool | None = None) -> TotientR
         raise ContractError("need x >= 2 and k >= 1")
     if exact is None:
         exact = x <= EXACT_SUM_LIMIT
-    phi = phi_table(x)
-    primes = primes_upto(x)
-    if exact:
-        total = Fraction(0)
-        for p in primes:
-            total += Fraction(int(phi[p - 1]), p - 1) ** k
-    else:
-        acc = 0
-        for p in primes:
-            num = int(phi[p - 1]) ** k
-            den = (p - 1) ** k
-            acc += (num << FIXED_POINT_BITS) // den
+    total, acc, count = Fraction(0), 0, 0
+    for ps, fs in _prime_totients(2, x):
+        count += len(ps)
+        if exact:
+            total = sum((Fraction(f, p - 1) ** k for p, f in zip(ps, fs)), total)
+        else:
+            acc += sum((f**k << FIXED_POINT_BITS) // (p - 1) ** k for p, f in zip(ps, fs))
+    if not exact:
         total = Fraction(acc, 1 << FIXED_POINT_BITS)
     value = float(total)
     return TotientRatioReport(
@@ -238,10 +232,17 @@ def totient_ratio_sum(x: int, k: int = 1, exact: bool | None = None) -> TotientR
         k=k,
         total=total,
         exact=exact,
-        prime_count=len(primes),
-        per_prime=value / len(primes),
+        prime_count=count,
+        per_prime=value / count,
         per_x_log_x=value / (x / math.log(x)),
     )
+
+
+def _prime_totients(lo: int, hi: int):
+    """The primes p of [lo, hi] and phi(p - 1), as two lists per sieve segment."""
+    for start, size, marks, big, prime in _shifted_segments(max(lo - 1, 1), hi - 1):
+        at = prime.nonzero()[0]
+        yield (at + start + 1).tolist(), _phi_segment(marks, big)[at].tolist()
 
 
 @dataclass(frozen=True)
@@ -263,15 +264,12 @@ def mixed_main_term(x: int, reference_c2: float | None = None) -> MixedMainTermR
     """
     if x < 1:
         raise ContractError(f"need x >= 1, got {x}")
-    phi = phi_table(2 * x)
-    acc = 0
-    count = 0
-    for p in primes_in_range(x, 2 * x):
-        f = int(phi[p - 1])
-        num = f * (p * p + (p - 1) * f)
-        den = (p - 1) * p * p
-        acc += (num << FIXED_POINT_BITS) // den
-        count += 1
+    acc = count = 0
+    for ps, fs in _prime_totients(x, 2 * x):
+        count += len(ps)
+        acc += sum(
+            (f * (p * p + (p - 1) * f) << FIXED_POINT_BITS) // ((p - 1) * p * p) for p, f in zip(ps, fs)
+        )
     total = acc / 2 / 2**FIXED_POINT_BITS
     c2 = reference_c2 if reference_c2 is not None else _reference_c2()
     expected = c2 * x / math.log(x) if x > 1 else float("nan")
@@ -567,19 +565,20 @@ class OmegaSumsReport(Report):
 
 
 def omega_sums(x: int) -> OmegaSumsReport:
-    """Sum 2^omega(n) over n <= x and three shifted-prime sums, via sieves."""
+    """Sum 2^omega(n) over n <= x and three shifted-prime sums, one sieve segment at a time."""
     from ._kernel import _sum_two_pow
     if x < 2:
         raise ContractError(f"need x >= 2, got {x}")
-    w, mu = omega_mobius_tables(x)
-    primes = ((w == 1) & (mu == -1)).nonzero()[0]  # squarefree with one prime: prime
-    w_shifted = w[primes - 1]
-    mu_shifted = mu[primes - 1]
-    total_all = _sum_two_pow(w[1:])
-    total_shifted = _sum_two_pow(w_shifted)
-    mu_omega = int((mu_shifted * w_shifted).sum())
-    omega_shifted = int(w_shifted.sum())
-    n_primes = len(primes)
+    total_all = total_shifted = mu_omega = omega_shifted = n_primes = 0
+    for start, size, marks, big, prime in _shifted_segments(1, x):
+        w, mu = _omega_mobius_segment(marks, big)
+        at = prime[: x - start].nonzero()[0]  # m = start + at[k] is p - 1 for a prime p <= x
+        w_shifted = w[at]
+        total_all += _sum_two_pow(w)
+        total_shifted += _sum_two_pow(w_shifted)
+        mu_omega += int((mu[at] * w_shifted).sum())
+        omega_shifted += int(w_shifted.sum())
+        n_primes += len(at)
     lx = math.log(x)
     return OmegaSumsReport(
         x=x,
@@ -641,11 +640,9 @@ def period(base: int, p: int, k: int) -> PeriodResult:
         raise ContractError(f"base must be >= 2, got {base}")
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    if p < 3 or not is_prime(p):
-        raise ContractError(f"{p} is not an odd prime")
+    spec = CyclicGroupSpec.for_prime_power(p, k)  # validates p
     if base % p == 0:
         raise ContractError(f"base {base} divisible by {p}; expansion terminates")
-    spec = CyclicGroupSpec.for_prime_power(p, k)
     t = multiplicative_order(base % spec.modulus, spec).order
     rep_len = None
     if spec.modulus <= LONG_DIVISION_LIMIT:

@@ -24,7 +24,6 @@ from primroot.arith import (
     primes_in_range,
     primes_upto,
     spf_table,
-    squarefree_divisors,
 )
 from primroot.errors import ContractError, ResourceLimitError
 
@@ -171,23 +170,6 @@ def test_omega_mobius():
     assert mobius(factorize(12)) == 0
     assert mobius(factorize(30)) == -1
     assert mobius(factorize(6)) == 1
-
-
-def test_squarefree_divisors_examples():
-    assert squarefree_divisors(factorize(1)) == [(1, 1)]
-    assert squarefree_divisors(factorize(30)) == [
-        (1, 1), (2, -1), (3, -1), (5, -1), (6, 1), (10, 1), (15, 1), (30, -1),
-    ]
-    assert len(squarefree_divisors(factorize(40486))) == 8
-
-
-def test_squarefree_divisor_count_is_two_to_omega():
-    for n in range(1, 10**4 + 1):
-        f = factorize(n)
-        divs = squarefree_divisors(f)
-        assert len(divs) == 2 ** omega(f)
-        assert [d for d, _ in divs] == sorted(d for d, _ in divs)
-        assert all(n % d == 0 for d, _ in divs)
 
 
 @pytest.mark.parametrize("seg", [None, 64])

@@ -196,12 +196,22 @@ def test_explicit_nonpositive_values_exit_2(capsys, argv, flag, value):
     assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
 
 
-def test_table_over_budget_exits_2(capsys):
-    # the budget check runs before any allocation, so this allocates nothing
-    rc, out, err = run_cli(capsys, "omega", "--x", "10000000000")
-    assert rc == 2
-    assert out == ""
-    assert "error:" in err and "budget" in err
+@pytest.mark.parametrize("x", [268435458, 10000000000])
+def test_omega_over_the_span_guard_exits_2_before_allocating(capsys, x):
+    # 2**28 + 2 is the first x whose walk over m in [1, x] is wider than the guard
+    import tracemalloc
+
+    import primroot._kernel  # noqa: F401  numpy loads before the measurement
+
+    tracemalloc.start()
+    try:
+        rc, out, err = run_cli(capsys, "omega", "--x", str(x))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (2, "")
+    assert err == f"error: range width {x - 1} exceeds budget 268435456\n"
+    assert peak < 1 << 20  # one segment's cofactor buffer alone takes 4 MiB
 
 
 def test_usage_errors_exit_2():

@@ -194,7 +194,7 @@ GOLDEN = {
     "order --a 5 --n 12": (2, "e3b0c44298fc1c14", "1f6f01c3a19cc091"),
     "fixed-g --g 4 --x 100": (2, "e3b0c44298fc1c14", "92f744c577ddd56d"),
     "survey --x 10 --z 1000": (2, "e3b0c44298fc1c14", "83b89bce6f7fa957"),
-    "omega --x 10000000000": (2, "e3b0c44298fc1c14", "6b66daa840b0a9ef"),
+    "omega --x 10000000000": (2, "e3b0c44298fc1c14", "13109d64ddb04cb3"),
     "survey --x 3000 --z 20 --format csv": (0, "50e181346da71054", "660817cc07737f6f"),
     "survey --x 3000 --z 20 --format json": (0, "94fff599fb6497e4", "660817cc07737f6f"),
 }

@@ -79,6 +79,17 @@ def test_lifts_to_p2_examples():
         lifts_to_p2(2, 43)  # 2 is not a primitive root mod 43
 
 
+@pytest.mark.parametrize(
+    "lift_fn",
+    [lambda g: lifts_to_p2(g, 43), lambda g: bad_lift_residue(g, 43), lambda g: lift_pair_check(g, 43, 2)],
+)
+def test_lift_functions_refuse_non_roots_alike(lift_fn):
+    # 1, 2 and 42 = -1 have orders 1, 14 and 2 mod 43
+    for g in (1, 2, 42):
+        with pytest.raises(ContractError, match=f"^{g} is not a primitive root mod 43$"):
+            lift_fn(g)
+
+
 def test_lift_criterion_equals_full_test():
     # for a root mod p: generating mod p^2 <=> g^(p-1) != 1 mod p^2
     rng = random.Random(13)

@@ -5,7 +5,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import naive_classify_counts, naive_order, naive_repetend_length
-from primroot.arith import factorize, first_primes, is_prime, omega, primes_upto
+from primroot import arith
+from primroot.arith import (
+    factorize,
+    first_primes,
+    is_prime,
+    omega,
+    omega_mobius_tables,
+    phi_table,
+    primes_upto,
+)
 from primroot.errors import ContractError, ResourceLimitError
 from primroot.surveys import (
     KNOWN_LEAST_ROOT_EXCEPTIONS,
@@ -255,6 +264,69 @@ def test_omega_sums_40487_contributes_three():
     assert hi.sum_omega_shifted - lo.sum_omega_shifted == 3
 
 
+# The sums below fold the m = p - 1 walk segment by segment; the references
+# read whole tables.  With 64 or 97 integers a segment, the x cover both sides
+# of segment edges for each walk (omega: [1, x], totient: [1, x - 1], mixed:
+# [x - 1, 2x - 1]), and x = 129 and 98 leave omega's last segment without a
+# prime <= x.
+STREAMED_X = (2, 3, 63, 64, 65, 66, 96, 97, 98, 99, 128, 129, 130, 194, 195, 1000)
+
+
+def table_omega_sums(x):
+    w, mu = omega_mobius_tables(x)
+    shifted = [(int(w[p - 1]), int(mu[p - 1])) for p in primes_upto(x)]
+    return (
+        sum(2 ** int(v) for v in w[1:]),
+        sum(2**v for v, _ in shifted),
+        sum(v * m for v, m in shifted),
+        sum(v for v, _ in shifted),
+        len(shifted),
+    )
+
+
+@pytest.mark.parametrize("seg", [64, 97])
+def test_streamed_omega_sums_match_tables(monkeypatch, seg):
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT_SIZE", seg)
+    for x in STREAMED_X:
+        rep = omega_sums(x)
+        got = (
+            rep.sum_two_omega_all,
+            rep.sum_two_omega_shifted,
+            rep.sum_mu_omega_shifted,
+            rep.sum_omega_shifted,
+            rep.prime_count,
+        )
+        assert got == table_omega_sums(x), x
+
+
+@pytest.mark.parametrize("seg", [64, 97])
+def test_streamed_totient_sums_match_tables(monkeypatch, seg):
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT_SIZE", seg)
+    for x in STREAMED_X:
+        phi = phi_table(x)
+        ps = primes_upto(x)
+        for k in (1, 2):
+            exact = sum(Fraction(int(phi[p - 1]), p - 1) ** k for p in ps)
+            fixed = sum((int(phi[p - 1]) ** k << 128) // (p - 1) ** k for p in ps)
+            rep = totient_ratio_sum(x, k, exact=True)
+            assert (rep.total, rep.prime_count) == (exact, len(ps)), (x, k)
+            assert totient_ratio_sum(x, k, exact=False).total == Fraction(fixed, 1 << 128), (x, k)
+
+
+@pytest.mark.parametrize("seg", [64, 97])
+def test_streamed_mixed_main_term_matches_tables(monkeypatch, seg):
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT_SIZE", seg)
+    for x in (1,) + STREAMED_X:
+        phi = phi_table(2 * x)
+        ps = [p for p in primes_upto(2 * x) if p >= x]
+        acc = 0
+        for p in ps:
+            f = int(phi[p - 1])
+            acc += (f * (p * p + (p - 1) * f) << 128) // ((p - 1) * p * p)
+        rep = mixed_main_term(x, reference_c2=0.5)
+        assert (rep.total, rep.prime_count) == (acc / 2 / 2**128, len(ps)), x
+
+
 def test_period_examples():
     rep = period(10, 7, 2)
     assert rep.period == 42
@@ -267,6 +339,22 @@ def test_period_examples():
         period(10, 5, 1)  # base divisible by p
     with pytest.raises(ContractError):
         period(1, 7, 1)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, 4, 0), "base must be >= 2, got 1"),
+        ((8, 4, 0), "k must be >= 1, got 0"),
+        ((8, 4, 1), "4 is not an odd prime"),
+        ((8, 2, 1), "2 is not an odd prime"),
+        ((14, 7, 1), "base 14 divisible by 7"),
+    ],
+)
+def test_period_reports_the_first_bad_argument(args, message):
+    # checked in order: base, then k, then p, then base mod p
+    with pytest.raises(ContractError, match=message):
+        period(*args)
 
 
 def test_period_stationary_bases_maximal():
