@@ -22,6 +22,12 @@ from .roots import CyclicGroupSpec
 
 FORMATS = ("table", "json", "csv")
 
+# No command makes a BLAS call, yet OpenBLAS starts a thread pool that spins
+# when numpy loads, in this process and in every survey worker, competing for
+# the cores the sieve and the workers use.  numpy loads later, on the first
+# bulk call, so this still reaches it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 
 def _emit(text: str, output: str | None) -> None:
     text = text if text.endswith("\n") else text + "\n"
