@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import is_prime
+from .arith import euler_phi, is_prime
 from .errors import ContractError, NotInvertibleError, ResourceLimitError
 from .modmath import inv_mod
-from .roots import CyclicGroupSpec, RootClass, classify, is_primitive_root
+from .roots import CyclicGroupSpec, RootClass, _classify_unit, is_primitive_root
 
 BSGS_TABLE_CAP = 1 << 20  # max baby steps kept in memory
 
@@ -124,33 +124,16 @@ def character_of_index(spec: CyclicGroupSpec, m: int) -> CharacterIndex:
     return CharacterIndex(spec, order // g, (m // g) % (order // g) if order > g else 0)
 
 
-def _orbit_sum(d_primes: tuple[int, ...], d: int, t: int) -> int:
-    """Sum of chi(g^t) over all characters chi of exact order d (d squarefree).
-
-    Expanding the coprimality condition by Mobius over the sub-orders turns
-    each piece into a full geometric sum of d/e-th roots of unity, which is
-    d/e when d | e*t and 0 otherwise, so the total is an exact integer.
-    """
-    total = 0
-    for mask in range(1 << len(d_primes)):
-        e = 1
-        sign = 1
-        for i, q in enumerate(d_primes):
-            if mask >> i & 1:
-                e *= q
-                sign = -sign
-        if e * t % d == 0:
-            total += sign * (d // e)
-    return total
-
-
 def psi_indicator(u: int, spec: CyclicGroupSpec) -> int:
     """Exact 0/1 indicator that u generates the cyclic unit group.
 
-    Evaluates the Mobius-weighted double sum over all squarefree orders
-    d | group_order and all characters of exact order d, accumulating the
-    root-of-unity blocks symbolically (per d) before applying the rational
-    weights, so no intermediate value is ever rounded.
+    Evaluates phi(m)/m * sum over squarefree d | m of mu(d)/phi(d) times the
+    sum of chi(u) over the characters of exact order d.  At u = generator^t
+    that inner sum is the Ramanujan sum c_d(t), the product over the primes
+    q | d of (q - 1 if q | t, else -1), so each d adds one exact Fraction and
+    the cost is 2^omega(m) terms.  discrete_log admits group orders up to
+    BSGS_TABLE_CAP**2 = 2**40, below the product of the first 12 primes, so
+    omega(m) <= 11 and at most 2048 terms are summed.
     """
     if spec.generator is None:
         spec = spec.with_generator()
@@ -158,25 +141,13 @@ def psi_indicator(u: int, spec: CyclicGroupSpec) -> int:
     if math.gcd(u % n, n) != 1:
         raise NotInvertibleError(f"{u} is not a unit mod {n}")
     t = discrete_log(u, spec)
-    m = spec.group_order
-    primes = tuple(q for q, _ in spec.order_factorization.factors)
+    # mu(q) c_q(t) / phi(q) for each prime q of m, as (sign, denominator)
+    weights = [(-1, 1) if t % q == 0 else (1, q - 1) for q, _ in spec.order_factorization.factors]
     total = Fraction(0)
-    for mask in range(1 << len(primes)):
-        d = 1
-        mu = 1
-        phi_d = 1
-        chosen = []
-        for i, q in enumerate(primes):
-            if mask >> i & 1:
-                d *= q
-                mu = -mu
-                phi_d *= q - 1
-                chosen.append(q)
-        total += Fraction(mu, phi_d) * _orbit_sum(tuple(chosen), d, t)
-    phi_m = 1
-    for q, e in spec.order_factorization.factors:
-        phi_m *= q ** (e - 1) * (q - 1)
-    value = Fraction(phi_m, m) * total
+    for mask in range(1 << len(weights)):
+        chosen = [w for i, w in enumerate(weights) if mask >> i & 1]
+        total += Fraction(math.prod(s for s, _ in chosen), math.prod(d for _, d in chosen))
+    value = Fraction(euler_phi(spec.order_factorization), spec.group_order) * total
     if value not in (0, 1):
         raise ArithmeticError(f"indicator came out {value}, expected 0 or 1")
     return int(value)
@@ -199,11 +170,18 @@ class PsiFormulaResult:
 
 
 def _psi_formula(g: int, p: int, sign: int, counted: RootClass) -> PsiFormulaResult:
-    """Psi_p(g) * (1 + sign * Psi_{p^2}(g)) / 2 next to the table value of `counted`."""
-    psi_p = 1 if is_primitive_root(g, CyclicGroupSpec.for_prime(p)) else 0
-    psi_p2 = 1 if is_primitive_root(g, CyclicGroupSpec.for_prime_power(p, 2)) else 0
+    """Psi_p(g) * (1 + sign * Psi_{p^2}(g)) / 2 next to the table value of `counted`.
+
+    g follows classify's rule (g >= 1); p is proven and p - 1 factored once.
+    """
+    if g < 1:
+        raise ContractError(f"g must be >= 1, got {g}")
+    spec = CyclicGroupSpec.for_prime(p)
+    psi_p = 1 if is_primitive_root(g, spec) else 0
+    psi_p2 = 1 if is_primitive_root(g, spec.raised(2)) else 0
     formula = Fraction(psi_p * (1 + sign * psi_p2), 2)
-    cls = classify(g, p) if g >= 1 else RootClass.NOT_COPRIME
+    primes_p1 = [q for q, _ in spec.order_factorization.factors]
+    cls = RootClass.NOT_COPRIME if g % p == 0 else _classify_unit(g, p, primes_p1)
     table = 1 if cls is counted else 0
     return PsiFormulaResult(g, p, formula, table, cls, formula == table)
 
@@ -233,20 +211,35 @@ class CharSumReport:
     size_v: int
 
 
-def _bound_report(modulus, parts_re, parts_im, used, skipped, zu, zv) -> CharSumReport:
+def _double_sum(modulus: int, U, V, term) -> CharSumReport:
+    """Sum term(u, v) over the sorted sets U x V, skipping pairs where it is None."""
+    us = sorted(set(U))
+    vs = sorted(set(V))
+    parts_re: list[float] = []
+    parts_im: list[float] = []
+    skipped = 0
+    for u in us:
+        for v in vs:
+            root = term(u, v)
+            if root is None:
+                skipped += 1
+                continue
+            z = root.to_complex()
+            parts_re.append(z.real)
+            parts_im.append(z.imag)
     total = complex(math.fsum(parts_re), math.fsum(parts_im))
     magnitude = abs(total)
-    bound = math.sqrt(modulus) * math.sqrt(zu * zv)
+    bound = math.sqrt(modulus) * math.sqrt(len(us) * len(vs))
     return CharSumReport(
         modulus=modulus,
         total=total,
         magnitude=magnitude,
         bound=bound,
         slack=magnitude / bound,
-        pairs_used=used,
+        pairs_used=len(parts_re),
         pairs_skipped=skipped,
-        size_u=zu,
-        size_v=zv,
+        size_u=len(us),
+        size_v=len(vs),
     )
 
 
@@ -261,22 +254,7 @@ def char_sum(U, V, chi: CharacterIndex) -> CharSumReport:
     n = chi.spec.modulus
     if not is_prime(n):
         raise ContractError(f"modulus {n} is not prime")
-    us = sorted(set(U))
-    vs = sorted(set(V))
-    parts_re: list[float] = []
-    parts_im: list[float] = []
-    used = skipped = 0
-    for u in us:
-        for v in vs:
-            w = (u + v) % n
-            if w == 0:
-                skipped += 1
-                continue
-            z = chi.value(w).to_complex()
-            parts_re.append(z.real)
-            parts_im.append(z.imag)
-            used += 1
-    return _bound_report(n, parts_re, parts_im, used, skipped, len(us), len(vs))
+    return _double_sum(n, U, V, lambda u, v: chi.value(w) if (w := (u + v) % n) else None)
 
 
 def additive_char_sum(U, V, k: int, modulus: int) -> CharSumReport:
@@ -285,22 +263,9 @@ def additive_char_sum(U, V, k: int, modulus: int) -> CharSumReport:
         raise ContractError(f"modulus must be >= 1, got {modulus}")
     if k % modulus == 0:
         raise ContractError("frequency k must be nonzero mod the modulus")
-    us = sorted(set(U))
-    vs = sorted(set(V))
-    parts_re: list[float] = []
-    parts_im: list[float] = []
-    used = skipped = 0
-    for u in us:
-        for v in vs:
-            prod = u * v % modulus
-            if prod == 0:
-                skipped += 1
-                continue
-            z = UnitRoot.from_angle(k * prod, modulus).to_complex()
-            parts_re.append(z.real)
-            parts_im.append(z.imag)
-            used += 1
-    return _bound_report(modulus, parts_re, parts_im, used, skipped, len(us), len(vs))
+    return _double_sum(
+        modulus, U, V, lambda u, v: UnitRoot.from_angle(k * w, modulus) if (w := u * v % modulus) else None
+    )
 
 
 def random_bound_trials(

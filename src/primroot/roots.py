@@ -157,13 +157,10 @@ def is_primitive_root_2pk(g: int, p: int, k: int) -> bool:
     because passing there propagates to every higher power, while the test
     at level k alone does not separate intermediate orders once k >= 3.
     """
-    _require_odd_prime(p)
+    spec_p = CyclicGroupSpec.for_prime(p)  # validates p
     if k < 1:
         raise ContractError(f"power must be >= 1, got {k}")
-    if g % 2 == 0 or g % p == 0:
-        return False
-    spec_p = CyclicGroupSpec.for_prime(p)
-    if not is_primitive_root(g, spec_p):
+    if g % 2 == 0 or not is_primitive_root(g, spec_p):
         return False
     if k == 1:
         return True

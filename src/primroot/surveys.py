@@ -45,6 +45,7 @@ SURVEY_BLOCK_CELLS = 1 << 14  # at most this many (p, g) pairs per stationary_su
 SURVEY_CELL_BYTES = 32
 LEAST_ROOTS_BLOCK = 16  # primes per task in the least-root scans
 PROGRESS_EVERY = 256  # rows between progress reports
+TOTIENT_SLICE = 1 << 14  # primes per list handed to the totient sums
 
 FIXED_POINT_BITS = 128  # fractional bits for large accumulations
 EXACT_SUM_LIMIT = 10_000  # exact Fraction accumulation up to this x
@@ -239,10 +240,12 @@ def totient_ratio_sum(x: int, k: int = 1, exact: bool | None = None) -> TotientR
 
 
 def _prime_totients(lo: int, hi: int):
-    """The primes p of [lo, hi] and phi(p - 1), as two lists per sieve segment."""
+    """The primes p of [lo, hi] and phi(p - 1), as two lists of at most TOTIENT_SLICE each."""
     for start, size, marks, big, prime in _shifted_segments(max(lo - 1, 1), hi - 1):
         at = prime.nonzero()[0]
-        yield (at + start + 1).tolist(), _phi_segment(marks, big)[at].tolist()
+        ps, fs = at + start + 1, _phi_segment(marks, big)[at]
+        for i in range(0, len(at), TOTIENT_SLICE):
+            yield ps[i : i + TOTIENT_SLICE].tolist(), fs[i : i + TOTIENT_SLICE].tolist()
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from primroot.characters import (
     random_bound_trials,
 )
 from primroot.errors import ContractError, NotInvertibleError, ResourceLimitError
+from primroot.modmath import multiplicative_order
 from primroot.roots import CyclicGroupSpec, RootClass
 
 
@@ -139,6 +140,21 @@ def test_psi_indicator_equals_order_test_mod_p2():
             assert psi_indicator(u, spec) == want, (u, p)
 
 
+def test_psi_indicator_at_the_omega_cap():
+    # p - 1 = 2*3*5*...*31: omega = 11, the most a group order within the
+    # baby-step cap (at most 2**40) can have
+    p = 200560490131
+    spec = CyclicGroupSpec.for_prime(p).with_generator()
+    assert len(spec.order_factorization.factors) == 11
+    g = spec.generator
+    try:
+        for u in (g, g * g % p, pow(g, 7, p), pow(g, 31 * 29, p)):
+            want = int(multiplicative_order(u, spec).order == p - 1)
+            assert psi_indicator(u, spec) == want, u
+    finally:
+        characters._bsgs_table.cache_clear()  # drop the 447840-entry table
+
+
 def test_psi_formulas_examples():
     res = psi_s_formula(3, 43)
     assert res.formula == 1
@@ -159,6 +175,15 @@ def test_psi_formulas_examples():
     res = psi_s_formula(2, 7)
     assert res.formula == 0
     assert res.classification is RootClass.NOT_ROOT
+
+
+def test_psi_formulas_take_g_under_classify_rule():
+    # -1846 = 3 mod 43^2 is a stationary root, but g < 1 is outside classify's
+    # domain; it used to be reported as NotCoprime with a false mismatch
+    for fn in (psi_s_formula, psi_n_formula):
+        for g in (-1846, 0):
+            with pytest.raises(ContractError):
+                fn(g, 43)
 
 
 def test_psi_formula_discrepancy_is_exactly_nonstationary():

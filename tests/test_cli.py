@@ -172,6 +172,9 @@ def test_contract_errors_exit_2(capsys):
     assert rc == 2
     rc, _, _ = run_cli(capsys, "survey", "--x", "10", "--z", "1000")
     assert rc == 2
+    rc, _, err = run_cli(capsys, "psi", "--formula", "s", "--g", "-1846", "--p", "43")
+    assert rc == 2  # g < 1, as for test, not a false NotCoprime mismatch
+    assert "g must be >= 1" in err
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

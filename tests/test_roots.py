@@ -5,6 +5,7 @@ import pytest
 
 from conftest import naive_is_primitive_root, naive_order
 from primroot.arith import euler_phi, factorize, primes_upto
+from primroot.characters import psi_s_formula
 from primroot.errors import ContractError
 from primroot.modmath import inv_mod
 from primroot.roots import (
@@ -318,8 +319,13 @@ def test_raised_specs_equal_validated_builds():
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: stationary_propagation(10, 40487, 4), lambda: lift_pair_check(5, 40487, 4)],
-    ids=["stationary_propagation", "lift_pair_check"],
+    [
+        lambda: stationary_propagation(10, 40487, 4),
+        lambda: lift_pair_check(5, 40487, 4),
+        lambda: psi_s_formula(10, 40487).matches_table,
+        lambda: is_primitive_root_2pk(13, 40487, 3),  # 13 is an odd stationary root
+    ],
+    ids=["stationary_propagation", "lift_pair_check", "psi_s_formula", "is_primitive_root_2pk"],
 )
 def test_lift_checks_validate_p_once(monkeypatch, call):
     import primroot.roots as roots_mod

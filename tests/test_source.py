@@ -1,6 +1,7 @@
 """Checks on the library's source text."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).parents[1] / "src" / "primroot"
@@ -42,3 +43,28 @@ def test_only_the_kernel_module_imports_numpy_when_loaded():
     # other module imports it inside the functions that use it
     at_load = [name for name, tree in modules() for _, in_function in numpy_imports(tree) if not in_function]
     assert at_load == ["_kernel.py"]
+
+
+def names_used(node):
+    """Every identifier read under node, as a name or an attribute."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+
+
+def test_every_private_helper_has_a_caller():
+    # a private function or class that only its own body mentions is dead code
+    trees = modules()
+    used = Counter(name for _, tree in trees for name in names_used(tree))
+    dead = [
+        f"{name}:{node.name}"
+        for name, tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+        and used[node.name] == Counter(names_used(node))[node.name]
+    ]
+    assert dead == []
