@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import compress, starmap
 
 from .errors import ContractError, ResourceLimitError
 
@@ -116,10 +116,20 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Sieves (numpy): prime flags, the one segmented sieve and what is built on it.
-# Each table checks its memory need against TABLE_BUDGET_BYTES before it
-# allocates anything.  numpy is imported by the functions that use it, so
-# that importing this module, and everything scalar, never loads it.
+# Sieves: one bytearray sieve (prime flags, factorize's trial primes), the one
+# segmented sieve and what is built on it.  Each table checks its memory need
+# against TABLE_BUDGET_BYTES before it allocates anything.  numpy is imported
+# by the functions that use it, so importing this module never loads it.
+
+
+def _sieve(n: int) -> bytearray:
+    """Eratosthenes over a bytearray: byte i is 1 exactly when i <= n is prime."""
+    flags = bytearray([1]) * (n + 1)
+    flags[:2] = bytes(len(flags[:2]))
+    for i in range(2, math.isqrt(n) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    return flags
 
 
 def _check_table_budget(n: int, entry_bytes: int) -> None:
@@ -133,15 +143,10 @@ def _check_table_budget(n: int, entry_bytes: int) -> None:
 
 
 def prime_flags(n: int):
-    """Boolean array a with a[i] == (i prime), for 0 <= i <= n."""
+    """Boolean array a with a[i] == (i prime), for 0 <= i <= n: _sieve's bytes."""
     import numpy as np
     _check_table_budget(n, 1)
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for i in range(2, math.isqrt(n) + 1):
-        if flags[i]:
-            flags[i * i :: i] = False
-    return flags
+    return np.frombuffer(_sieve(n), dtype=bool)
 
 
 def _segments(lo: int, hi: int, cofactors: bool = True):
@@ -375,18 +380,8 @@ def _brent_rho(n: int) -> int:
         c += 1
 
 
-def _list_sieve(n: int) -> list[int]:
-    """The primes <= n by a sieve over a bytearray: prime_flags without numpy."""
-    flags = bytearray([1]) * (n + 1)
-    flags[:2] = b"\0\0"
-    for i in range(2, math.isqrt(n) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
-    return [i for i, f in enumerate(flags) if f]
-
-
-# built without numpy, so that importing this module never loads it
-_SMALL_PRIMES = _list_sieve(_TRIAL_BOUND)
+# read off the bytearray, so that importing this module never loads numpy
+_SMALL_PRIMES = list(compress(range(_TRIAL_BOUND + 1), _sieve(_TRIAL_BOUND)))
 
 
 def factorize(n: int) -> Factorization:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import euler_phi, is_prime
+from .arith import euler_phi
 from .errors import ContractError, NotInvertibleError, ResourceLimitError
 from .modmath import inv_mod
 from .roots import CyclicGroupSpec, RootClass, _classify_unit, is_primitive_root
@@ -129,24 +129,17 @@ def psi_indicator(u: int, spec: CyclicGroupSpec) -> int:
 
     Evaluates phi(m)/m * sum over squarefree d | m of mu(d)/phi(d) times the
     sum of chi(u) over the characters of exact order d.  At u = generator^t
-    that inner sum is the Ramanujan sum c_d(t), the product over the primes
-    q | d of (q - 1 if q | t, else -1), so each d adds one exact Fraction and
-    the cost is 2^omega(m) terms.  discrete_log admits group orders up to
-    BSGS_TABLE_CAP**2 = 2**40, below the product of the first 12 primes, so
-    omega(m) <= 11 and at most 2048 terms are summed.
+    that inner sum is the Ramanujan sum c_d(t), multiplicative in d, so the
+    Moebius sum equals the Euler product over the primes q | m of
+    1 + mu(q) c_q(t)/phi(q), which is 0 when q | t and q/(q - 1) otherwise:
+    omega(m) exact Fraction factors.
     """
-    if spec.generator is None:
-        spec = spec.with_generator()
+    spec = spec.with_generator()
     n = spec.modulus
     if math.gcd(u % n, n) != 1:
         raise NotInvertibleError(f"{u} is not a unit mod {n}")
     t = discrete_log(u, spec)
-    # mu(q) c_q(t) / phi(q) for each prime q of m, as (sign, denominator)
-    weights = [(-1, 1) if t % q == 0 else (1, q - 1) for q, _ in spec.order_factorization.factors]
-    total = Fraction(0)
-    for mask in range(1 << len(weights)):
-        chosen = [w for i, w in enumerate(weights) if mask >> i & 1]
-        total += Fraction(math.prod(s for s, _ in chosen), math.prod(d for _, d in chosen))
+    total = math.prod(Fraction(0 if t % q == 0 else q, q - 1) for q, _ in spec.order_factorization.factors)
     value = Fraction(euler_phi(spec.order_factorization), spec.group_order) * total
     if value not in (0, 1):
         raise ArithmeticError(f"indicator came out {value}, expected 0 or 1")
@@ -252,7 +245,7 @@ def char_sum(U, V, chi: CharacterIndex) -> CharSumReport:
     if chi.trivial:
         raise ContractError("character sum bound needs a nontrivial character")
     n = chi.spec.modulus
-    if not is_prime(n):
+    if n != chi.spec.prime:  # the spec's constructor proved its prime
         raise ContractError(f"modulus {n} is not prime")
     return _double_sum(n, U, V, lambda u, v: chi.value(w) if (w := (u + v) % n) else None)
 

@@ -49,7 +49,7 @@ class CyclicGroupSpec:
     generator: int | None = None
 
     @classmethod
-    def for_modulus(cls, n: int, generator: int | None = None) -> "CyclicGroupSpec":
+    def for_modulus(cls, n: int) -> "CyclicGroupSpec":
         """Build a spec for n, validating that n is p^k or 2p^k, p an odd prime."""
         if n < 3:
             raise ContractError(f"modulus must be >= 3, got {n}")
@@ -64,36 +64,25 @@ class CyclicGroupSpec:
         if len(fac.factors) != 1:
             raise ContractError(f"{n} does not have a cyclic unit group")
         p, k = fac.factors[0]
-        return cls._build(p, k, doubled, generator)
+        return cls.for_prime(p).raised(k, doubled)
 
     @classmethod
-    def for_prime(cls, p: int, generator: int | None = None) -> "CyclicGroupSpec":
-        return cls._build(p, 1, False, generator)
+    def for_prime(cls, p: int) -> "CyclicGroupSpec":
+        _require_odd_prime(p)
+        return cls(p, p - 1, factorize(p - 1), p, 1, False)
 
     @classmethod
-    def for_prime_power(cls, p: int, k: int, generator: int | None = None) -> "CyclicGroupSpec":
-        return cls._build(p, k, False, generator)
+    def for_prime_power(cls, p: int, k: int) -> "CyclicGroupSpec":
+        return cls.for_prime(p).raised(k)
 
     @classmethod
     def for_twice_prime_power(cls, p: int, k: int) -> "CyclicGroupSpec":
-        return cls._build(p, k, True, None)
-
-    @classmethod
-    def _build(cls, p: int, k: int, doubled: bool, generator: int | None) -> "CyclicGroupSpec":
-        _require_odd_prime(p)
-        spec = cls(p, p - 1, factorize(p - 1), p, 1, False)
-        if k != 1 or doubled:
-            spec = spec.raised(k, doubled)
-        if generator is not None:
-            if not is_primitive_root(generator, spec):
-                raise ContractError(f"{generator} does not generate the units mod {spec.modulus}")
-            spec = replace(spec, generator=generator)
-        return spec
+        return cls.for_prime(p).raised(k, True)
 
     def raised(self, k: int, doubled: bool = False) -> "CyclicGroupSpec":
         """The spec for p^k (2p^k when doubled), derived from this spec of p.
 
-        p is not validated again and p-1 is not factored again.
+        for_prime alone proves p and factors p-1; neither is done again here.
         """
         if self.power != 1 or self.doubled:
             raise ContractError(f"need the spec of a prime, got modulus {self.modulus}")
@@ -112,10 +101,7 @@ class CyclicGroupSpec:
         g = 2
         while not is_primitive_root(g, self):
             g += 1
-        return CyclicGroupSpec(
-            self.modulus, self.group_order, self.order_factorization,
-            self.prime, self.power, self.doubled, g,
-        )
+        return replace(self, generator=g)
 
 
 def is_primitive_root(g: int, spec: CyclicGroupSpec) -> bool:
@@ -187,11 +173,13 @@ def classify(g: int, p: int, fac_p1: Factorization | None = None) -> RootClass:
     """Classify g relative to p: NotCoprime, NotRoot, Nonstationary, Stationary."""
     if g < 1:
         raise ContractError(f"g must be >= 1, got {g}")
-    _require_odd_prime(p)
+    if fac_p1 is None:
+        fac_p1 = CyclicGroupSpec.for_prime(p).order_factorization
+    else:
+        _require_odd_prime(p)
     if g % p == 0:
         return RootClass.NOT_COPRIME
-    fac = fac_p1 if fac_p1 is not None else factorize(p - 1)
-    return _classify_unit(g, p, [q for q, _ in fac.factors])
+    return _classify_unit(g, p, [q for q, _ in fac_p1.factors])
 
 
 def bad_lift_residue(root: int, p: int) -> int:
@@ -231,8 +219,7 @@ def least_roots(p: int) -> LeastRoots:
     the full generator test whenever the candidate already generates mod p;
     a generator mod p^2 always reduces to one mod p, so gs coincides with h.
     """
-    _require_odd_prime(p)
-    return _least_roots(p, [q for q, _ in factorize(p - 1).factors])
+    return _least_roots(p, [q for q, _ in CyclicGroupSpec.for_prime(p).order_factorization.factors])
 
 
 def _least_roots(p: int, primes_p1) -> LeastRoots:

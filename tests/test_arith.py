@@ -105,6 +105,11 @@ def test_small_primes_equal_the_numpy_sieve():
     assert arith._SMALL_PRIMES == np.flatnonzero(prime_flags(arith._TRIAL_BOUND)).tolist()
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 1000, 46341])
+def test_prime_flags_match_trial_division(n):
+    assert prime_flags(n).tolist() == [naive_is_prime(i) for i in range(n + 1)]
+
+
 def test_factorize_examples():
     assert factorize(40486).factors == ((2, 1), (31, 1), (653, 1))
     assert factorize(1).factors == ()

@@ -21,6 +21,7 @@ from primroot.roots import (
     lifts_to_p2,
     stationary_propagation,
 )
+from primroot.surveys import period
 
 ROOTS_41 = [6, 7, 11, 12, 13, 15, 17, 19, 22, 24, 26, 28, 29, 30, 34, 35]
 ROOTS_43 = [3, 5, 12, 18, 19, 20, 26, 28, 29, 30, 33, 34]
@@ -35,9 +36,6 @@ def test_spec_validation():
     assert (spec.prime, spec.power, spec.doubled) == (7, 2, True)
     assert spec.group_order == 42
     assert CyclicGroupSpec.for_modulus(41).group_order == 40
-    with pytest.raises(ContractError):
-        CyclicGroupSpec.for_prime(41, generator=5)  # 5 is not a root of 41
-    assert CyclicGroupSpec.for_prime(41, generator=6).generator == 6
 
 
 def test_with_generator_finds_least():
@@ -324,8 +322,18 @@ def test_raised_specs_equal_validated_builds():
         lambda: lift_pair_check(5, 40487, 4),
         lambda: psi_s_formula(10, 40487).matches_table,
         lambda: is_primitive_root_2pk(13, 40487, 3),  # 13 is an odd stationary root
+        lambda: least_roots(40487),
+        lambda: classify(10, 40487),
+        lambda: CyclicGroupSpec.for_prime_power(40487, 3),
+        lambda: CyclicGroupSpec.for_twice_prime_power(40487, 2),
+        lambda: period(10, 40487, 2),
+        lambda: bad_lift_residue(5, 40487) == 0,  # 5 is a root of 40487 but not of its square
     ],
-    ids=["stationary_propagation", "lift_pair_check", "psi_s_formula", "is_primitive_root_2pk"],
+    ids=[
+        "stationary_propagation", "lift_pair_check", "psi_s_formula", "is_primitive_root_2pk",
+        "least_roots", "classify", "for_prime_power", "for_twice_prime_power", "period",
+        "bad_lift_residue",
+    ],
 )
 def test_lift_checks_validate_p_once(monkeypatch, call):
     import primroot.roots as roots_mod

@@ -68,3 +68,26 @@ def test_every_private_helper_has_a_caller():
         and used[node.name] == Counter(names_used(node))[node.name]
     ]
     assert dead == []
+
+
+def p_minus_1_factorizations(node, scope=()):
+    """Qualified name of the function around each call factorize(x - 1) under node."""
+    for child in ast.iter_child_nodes(node):
+        if (
+            isinstance(child, ast.Call)
+            and ast.unparse(child.func).split(".")[-1] == "factorize"
+            and len(child.args) == 1
+            and isinstance(child.args[0], ast.BinOp)
+            and isinstance(child.args[0].op, ast.Sub)
+            and ast.unparse(child.args[0].right) == "1"
+        ):
+            yield ".".join(scope)
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from p_minus_1_factorizations(child, scope + (child.name,) if named else scope)
+
+
+def test_only_for_prime_factors_p_minus_1():
+    # every path to a prime's group goes through CyclicGroupSpec.for_prime,
+    # which proves p and factors p - 1 once
+    found = [f"{name}:{where}" for name, tree in modules() for where in p_minus_1_factorizations(tree)]
+    assert found == ["roots.py:CyclicGroupSpec.for_prime"]
