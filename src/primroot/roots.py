@@ -3,7 +3,9 @@
 The central fact used throughout: a generator mod p lifts to a generator mod
 p^2 (and then automatically mod every higher power and mod 2p^k) exactly when
 g**(p-1) != 1 mod p^2.  For each generator tau mod p exactly one residue
-a in [0, p) makes tau + a*p fail; a closed form computes it.
+a in [0, p) makes tau + a*p fail; a closed form computes it.  lift_enumerate
+builds the roots one level up from this criterion alone: every lift but that
+one at k = 1, every lift at k >= 2, with no generator test per lift.
 """
 
 from __future__ import annotations
@@ -192,6 +194,11 @@ def bad_lift_residue(root: int, p: int) -> int:
         raise ContractError(f"need 0 < root < p, got root={root}, p={p}")
     if not is_primitive_root(root, CyclicGroupSpec.for_prime(p)):
         raise ContractError(f"{root} is not a primitive root mod {p}")
+    return _bad_lift_residue(root, p)
+
+
+def _bad_lift_residue(root: int, p: int) -> int:
+    """bad_lift_residue, unchecked: root is a primitive root mod the odd prime p."""
     p2 = p * p
     fermat = pow(root, p - 1, p2)
     # 1 - root**(p-1) is divisible by p by Fermat; the quotient is taken mod p
@@ -240,19 +247,28 @@ def lift_enumerate(p: int, k: int, roots_k: list[int]) -> list[int]:
     """All primitive roots mod p^(k+1) in [1, p^(k+1)], lifted from level k.
 
     Every generator one level up has the form tau + a*p^k with tau in the
-    complete level-k set and a in [0, p).  The output size is checked against
-    phi(phi(p^(k+1))); a short count means the input set was incomplete.
+    complete level-k set and a in [0, p).  The lifting criterion says which:
+    at k = 1 every a except tau's bad_lift_residue, at k >= 2 every a.  So
+    each input costs one generator test mod p^k, a non-root adds nothing,
+    and no lift is tested.  A repeated input root is rejected.  The output
+    size is checked against phi(phi(p^(k+1))); a short count means the input
+    set was incomplete.
     """
-    spec_up = CyclicGroupSpec.for_prime_power(p, k + 1)  # validates p
-    pk = p**k
+    spec_p = CyclicGroupSpec.for_prime(p)  # validates p
+    spec_k = spec_p.raised(k)
+    spec_up = spec_p.raised(k + 1)
+    pk = spec_k.modulus
+    seen = set()
     found = []
     for tau in roots_k:
         if not 1 <= tau <= pk:
             raise ContractError(f"root {tau} outside [1, {pk}]")
-        for a in range(p):
-            cand = tau + a * pk
-            if is_primitive_root(cand, spec_up):
-                found.append(cand)
+        if tau in seen:
+            raise ContractError(f"root {tau} repeated in the level-{k} set")
+        seen.add(tau)
+        if is_primitive_root(tau, spec_k):
+            bad = _bad_lift_residue(tau, p) if k == 1 else None
+            found.extend(tau + a * pk for a in range(p) if a != bad)
     found.sort()
     expected = euler_phi(spec_up.order_factorization)
     if len(found) != expected:

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import naive_is_primitive_root, naive_order
 from primroot.arith import euler_phi, factorize, primes_upto
@@ -254,6 +256,70 @@ def test_lift_chain_counts_match_scan():
             spec_up = CyclicGroupSpec.for_prime_power(p, k + 1)
             want = [g for g in range(1, p ** (k + 1) + 1) if is_primitive_root(g, spec_up)]
             assert level == want
+
+
+def lift_by_full_test(p, k, roots_k):
+    """The enumeration by definition: a full generator test on every tau + a*p^k."""
+    spec_up = CyclicGroupSpec.for_prime_power(p, k + 1)
+    pk = p**k
+    found = []
+    for tau in roots_k:
+        for a in range(p):
+            if is_primitive_root(tau + a * pk, spec_up):
+                found.append(tau + a * pk)
+    return sorted(found)
+
+
+def roots_mod_prime(p):
+    spec = CyclicGroupSpec.for_prime(p)
+    return [g for g in range(1, p + 1) if is_primitive_root(g, spec)]
+
+
+ODD_PRIMES_BELOW_200 = [p for p in primes_upto(200) if p > 2]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    pk=st.one_of(
+        st.tuples(st.sampled_from(ODD_PRIMES_BELOW_200), st.just(1)),
+        st.tuples(st.sampled_from([p for p in ODD_PRIMES_BELOW_200 if p < 60]), st.just(2)),
+    ),
+    rng=st.randoms(use_true_random=False),
+)
+def test_lift_enumerate_matches_full_test(pk, rng):
+    # the complete level-k set, shuffled, with some non-roots mixed in
+    p, k = pk
+    level = roots_mod_prime(p)
+    if k == 2:
+        level = lift_by_full_test(p, 1, level)
+    roots_k = level + rng.sample(sorted(set(range(1, p**k + 1)) - set(level)), rng.randint(0, 5))
+    rng.shuffle(roots_k)
+    assert lift_enumerate(p, k, roots_k) == lift_by_full_test(p, k, roots_k)
+
+
+def test_lift_enumerate_rejects_repeated_roots():
+    level1 = roots_mod_prime(43)
+    # the count check alone passes this input: 504 entries, 462 of them distinct
+    with pytest.raises(ContractError, match=r"^root 3 repeated in the level-1 set$"):
+        lift_enumerate(43, 1, level1[:-1] + [level1[0]])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_lift_enumerate_tests_each_input_root_once(monkeypatch, k):
+    import primroot.roots as roots_mod
+
+    roots_k = roots_mod_prime(59)
+    if k == 2:
+        roots_k = lift_by_full_test(59, 1, roots_k)
+    moduli = []
+
+    def counting_is_primitive_root(g, spec):
+        moduli.append(spec.modulus)
+        return is_primitive_root(g, spec)
+
+    monkeypatch.setattr(roots_mod, "is_primitive_root", counting_is_primitive_root)
+    lift_enumerate(59, k, roots_k)
+    assert moduli == [59**k] * len(roots_k)
 
 
 def test_lift_pair_check():
