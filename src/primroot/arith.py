@@ -245,16 +245,6 @@ def omega_mobius_tables(n: int):
     return w, mu
 
 
-def omega_table(n: int):
-    """omega(m) for all 0 <= m <= n, as int8."""
-    return omega_mobius_tables(n)[0]
-
-
-def mobius_table(n: int):
-    """mu(m) for all 0 <= m <= n, as int8."""
-    return omega_mobius_tables(n)[1]
-
-
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """All primes in the inclusive interval [lo, hi], ascending, by the segmented sieve.
 

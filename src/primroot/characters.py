@@ -20,6 +20,7 @@ from .modmath import inv_mod
 from .roots import CyclicGroupSpec, RootClass, _classify_unit, is_primitive_root
 
 BSGS_TABLE_CAP = 1 << 20  # max baby steps kept in memory
+TRIAL_SET_CAP = 64  # largest U or V drawn by random_bound_trials
 
 
 @dataclass(frozen=True)
@@ -266,7 +267,6 @@ def random_bound_trials(
     seed: int = 0,
     max_prime: int = 499,
     additive: bool = False,
-    max_set_size: int = 64,
 ) -> list[CharSumReport]:
     """Seeded random bound checks: random prime, character (or frequency), U, V.
 
@@ -284,7 +284,7 @@ def random_bound_trials(
     reports = []
     for _ in range(trials):
         p = rng.choice(primes)
-        cap = min(max_set_size, p - 1)
+        cap = min(TRIAL_SET_CAP, p - 1)
         us = rng.sample(range(1, p), rng.randint(1, cap))
         vs = rng.sample(range(1, p), rng.randint(1, cap))
         if additive:

@@ -9,15 +9,14 @@ configurations produce byte-identical output regardless of --workers.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 from . import characters, roots, surveys
 from .errors import ContractError, DomainError, ResourceLimitError
 from .modmath import multiplicative_order
+from .report import render
 from .roots import CyclicGroupSpec
 
 FORMATS = ("table", "json", "csv")
@@ -78,11 +77,8 @@ def _write_replacing(path: str, text: str) -> None:
 class Command(NamedTuple):
     """One subcommand: its help line, its arguments and the call behind it.
 
-    run(ns) returns a report dataclass, or a JSON-ready payload dict to which
-    schema_version is prepended.  csv maps a list in the payload to the
-    columns its items are written with; a payload holding none of those
-    lists is written as one CSV row of its scalar values.  table_key names
-    the one payload value the table format prints, if it prints only one.
+    run(ns) returns a report dataclass or a dict of fields; csv and table_key
+    tell report.render how to print it.
     """
 
     help: str
@@ -90,37 +86,6 @@ class Command(NamedTuple):
     run: Callable[[argparse.Namespace], object]
     csv: dict[str, tuple[str, ...]] | None = None
     table_key: str | None = None
-
-
-def _render(cmd: Command, result, fmt: str) -> str:
-    if fmt == "csv" and isinstance(result, surveys.StationarySurveyReport):
-        return "\n".join(result.csv_lines())
-    if isinstance(result, dict):
-        payload = {"schema_version": surveys.SCHEMA_VERSION, **result}
-    else:
-        payload = surveys.as_dict(result)
-    if fmt == "json":
-        return json.dumps(payload)
-    if fmt == "csv":
-        for key, columns in (cmd.csv or {}).items():
-            if key in payload:
-                # items are dicts, or bare values for a one-column list (lift enumerate's roots)
-                rows = ([r[c] for c in columns] if isinstance(r, dict) else [r] for r in payload[key])
-                return "\n".join(surveys.csv_lines(rows, columns))
-        keys = [k for k, v in payload.items() if not isinstance(v, (list, dict))]
-        return ",".join(keys) + "\n" + ",".join(str(payload[k]) for k in keys)
-    if cmd.table_key:
-        return payload[cmd.table_key]
-    lines = []
-    for k, v in payload.items():
-        if k == "schema_version":
-            continue
-        if isinstance(v, list):
-            lines.append(f"{k}:")
-            lines.extend(f"  {item}" for item in v)
-        else:
-            lines.append(f"{k} = {v}")
-    return "\n".join(lines)
 
 
 def _progress(name: str):
@@ -131,8 +96,8 @@ def _progress(name: str):
 def _order(ns) -> dict:
     spec = CyclicGroupSpec.for_modulus(ns.n)
     res = multiplicative_order(ns.a, spec)
-    full = res.order == spec.group_order
-    return {**asdict(res), "group_order": spec.group_order, "is_primitive_root": full}
+    fields = {"element": res.element, "modulus": res.modulus, "order": res.order}
+    return {**fields, "group_order": spec.group_order, "is_primitive_root": res.order == spec.group_order}
 
 
 def _lift(ns) -> dict:
@@ -149,8 +114,7 @@ def _lift(ns) -> dict:
         a = roots.bad_lift_residue(ns.tau, p)
         return {"tau": ns.tau, "p": p, "bad_residue": a, "failing_lift": ns.tau + a * p}
     rep = roots.lift_pair_check(ns.tau, p, ns.kmax)
-    steps = [asdict(s) for s in rep.steps]
-    return {"tau": ns.tau, "p": p, "all_pairs_ok": rep.all_pairs_ok, "steps": steps}
+    return {"tau": ns.tau, "p": p, "all_pairs_ok": rep.all_pairs_ok, "steps": rep.steps}
 
 
 def _psi(ns) -> dict:
@@ -263,6 +227,7 @@ COMMANDS = {
         "stationary counts over [x, 2x]",
         (_required("--x"), _required("--z")),
         lambda ns: surveys.stationary_survey(ns.x, ns.z, ns.workers, _progress("survey")),
+        csv={"rows": surveys.SURVEY_COLUMNS},
     ),
     "agreement": Command(
         "g(p) vs h(p) over [x, 2x]",
@@ -317,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     cmd = COMMANDS[ns.command]
     try:
-        _emit(_render(cmd, cmd.run(ns), ns.format), ns.output)
+        _emit(render(cmd.run(ns), ns.format, cmd.csv, cmd.table_key), ns.output)
     except (ContractError, DomainError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

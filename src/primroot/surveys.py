@@ -2,19 +2,16 @@
 
 Euler-product density constants, totient-ratio sums, stationary and
 nonstationary root counts, least-root statistics, omega sums, and repetend
-periods.  Every report serializes through one function, `as_dict`, to a
-JSON-ready dict that starts with schema_version; `csv_lines` writes rows
-of any of them as CSV.
+periods.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache, partial
-from operator import attrgetter
 
 from .arith import (
     _check_table_budget,
@@ -26,6 +23,7 @@ from .arith import (
 )
 from .errors import ContractError
 from .modmath import multiplicative_order
+from .report import NOT_SERIALIZED, SCHEMA_VERSION, Report, csv_lines
 from .roots import (
     CyclicGroupSpec,
     LeastRoots,
@@ -34,8 +32,6 @@ from .roots import (
     _least_roots,
     least_roots,
 )
-
-SCHEMA_VERSION = 1
 
 SURVEY_BLOCK_CELLS = 1 << 14  # at most this many (p, g) pairs per stationary_survey block
 # Peak bytes per g in one worker of stationary_survey: the cached g tables
@@ -55,72 +51,6 @@ LONG_DIVISION_LIMIT = 10**6  # repetend cross-check while p^k stays below this
 #: as (p, g, h); windows that large are out of sieve reach, so these are
 #: verified pointwise.
 KNOWN_LEAST_ROOT_EXCEPTIONS = ((40487, 5, 10), (6692367337, 5, 7))
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-#: field metadata that keeps a field out of as_dict
-NOT_SERIALIZED = {"serialized": False}
-
-
-def as_dict(report) -> dict:
-    """A dataclass as a JSON-ready dict: schema_version, then each field in order.
-
-    A Fraction becomes a float; a dict has its keys sorted and turned into
-    strings; a list or tuple becomes a list; a nested Report carries its own
-    schema_version, and any other nested dataclass is its plain fields.
-    Fields whose metadata is NOT_SERIALIZED are left out.
-    """
-    return _add_fields({"schema_version": SCHEMA_VERSION}, report)
-
-
-@lru_cache(maxsize=None)
-def _serialized_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls) if f.metadata.get("serialized", True))
-
-
-_SCALARS = (int, float, bool, str, type(None))
-
-
-def _add_fields(out: dict, obj) -> dict:
-    for name in _serialized_names(type(obj)):
-        value = getattr(obj, name)
-        # scalars pass unchanged; testing them first keeps a 1e3-row survey cheap
-        out[name] = value if type(value) in _SCALARS else _json_ready(value)
-    return out
-
-
-def _json_ready(value):
-    if isinstance(value, Report):
-        return as_dict(value)
-    if is_dataclass(value):
-        return _add_fields({}, value)
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _json_ready(v) for k, v in sorted(value.items())}
-    if isinstance(value, Fraction):
-        return float(value)
-    return value
-
-
-class Report:
-    """Base of the report dataclasses: report.as_dict() is as_dict(report)."""
-
-    as_dict = as_dict
-
-
-def csv_lines(rows, columns) -> list[str]:
-    """A schema_version,<columns> header, then one line per row of cell values.
-
-    Bools are written 0/1; every other cell, floats included, with str.
-    """
-    lines = [",".join(("schema_version", *columns))]
-    version = f"{SCHEMA_VERSION},"
-    for row in rows:
-        lines.append(version + ",".join([str(int(c) if isinstance(c, bool) else c) for c in row]))
-    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +257,9 @@ class StationarySurveyReport(Report):
     nn_per_z_pi: float
     nn_per_z2: float
 
-    def csv_lines(self) -> list[str]:
-        return csv_lines(map(attrgetter(*SURVEY_COLUMNS), self.rows), SURVEY_COLUMNS)
-
 
 def parse_survey_csv(text: str) -> list[SurveyRow]:
-    """Inverse of StationarySurveyReport.csv_lines, for round-trip checks."""
+    """Rows of the survey CSV that report.render writes, for round-trip checks."""
     lines = [ln for ln in text.strip().splitlines() if ln]
     if lines[0] != csv_lines([], SURVEY_COLUMNS)[0]:
         raise ContractError(f"unexpected CSV header: {lines[0]!r}")
@@ -694,6 +621,6 @@ def least_gs_stats(x: int, workers: int = 1, progress=None) -> GsStatsReport:
         max_gs=max(gs for _, gs in values),
         mean_gs=sum(gs for _, gs in values) / len(values),
         max_gs_over_log_p=max(gs / math.log(p) for p, gs in values),
-        histogram=dict(hist),
+        histogram=dict(sorted(hist.items())),
         values=values,
     )

@@ -15,10 +15,8 @@ from primroot.arith import (
     is_prime,
     is_prime_info,
     mobius,
-    mobius_table,
     omega,
     omega_mobius_tables,
-    omega_table,
     phi_table,
     prime_flags,
     primes_in_range,
@@ -185,8 +183,7 @@ def test_tables_match_pointwise_functions(monkeypatch, seg):
         monkeypatch.setattr(arith, "DEFAULT_SEGMENT_SIZE", seg)
     for n in (1, 2, 3, 4, 2209, 3000):
         phi = phi_table(n)
-        w = omega_table(n)
-        mu = mobius_table(n)
+        w, mu = omega_mobius_tables(n)
         spf = spf_table(n)
         assert len(phi) == len(w) == len(mu) == len(spf) == n + 1
         assert (phi[0], w[0], mu[0], spf[0]) == (0, 0, 0, 0)
@@ -202,12 +199,9 @@ def test_table_dtypes_are_narrow():
     w, mu = omega_mobius_tables(100)
     assert w.dtype == mu.dtype == np.int8
     assert phi_table(100).dtype == spf_table(100).dtype == np.int32
-    assert (w == omega_table(100)).all() and (mu == mobius_table(100)).all()
 
 
-@pytest.mark.parametrize(
-    "table", [prime_flags, phi_table, omega_table, mobius_table, spf_table, omega_mobius_tables]
-)
+@pytest.mark.parametrize("table", [prime_flags, phi_table, spf_table, omega_mobius_tables])
 def test_tables_refuse_sizes_over_budget(table):
     # refused before any allocation, so this allocates nothing
     with pytest.raises(ResourceLimitError, match="budget"):

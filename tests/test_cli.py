@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from primroot.cli import COMMANDS, main
+from primroot.report import as_dict, render
 from primroot.surveys import parse_survey_csv, stationary_survey
 
 
@@ -47,6 +48,12 @@ def test_order_json(capsys):
     data = json.loads(out)
     assert data["order"] == 294
     assert data["is_primitive_root"] is True
+
+
+def test_order_csv_writes_bools_as_digits(capsys):
+    rc, out, _ = run_cli(capsys, "order", "--a", "10", "--n", "343", "--format", "csv")
+    assert rc == 0
+    assert out == "schema_version,element,modulus,order,group_order,is_primitive_root\n1,10,343,294,294,1\n"
 
 
 def test_lift_modes(capsys):
@@ -125,7 +132,7 @@ def test_survey_csv_roundtrip(capsys):
 
 def test_survey_json_roundtrip(capsys):
     rc, out, _ = run_cli(capsys, "survey", "--x", "10", "--z", "5", "--format", "json")
-    assert json.loads(out) == stationary_survey(10, 5).as_dict()
+    assert json.loads(out) == as_dict(stationary_survey(10, 5))
 
 
 def test_workers_do_not_change_bytes(capsys):
@@ -276,7 +283,7 @@ def test_survey_flags_reach_the_run(capsys):
         capsys, "survey", "--x", "50", "--z", "5", "--workers", "3", "--format", "csv"
     )
     assert rc == 0
-    assert out == "\n".join(stationary_survey(50, 5).csv_lines()) + "\n"
+    assert out == render(stationary_survey(50, 5), "csv", COMMANDS["survey"].csv, None) + "\n"
 
 
 def test_readme_documents_every_command():

@@ -101,10 +101,10 @@ GOLDEN = {
     "test --g 3 --p 43 --format csv": (0, "c0d8c47c763d73cc", "e3b0c44298fc1c14"),
     "order --a 10 --n 343 --format table": (0, "8cddad910238a1a3", "e3b0c44298fc1c14"),
     "order --a 10 --n 343 --format json": (0, "bf3ed3656da44fa6", "e3b0c44298fc1c14"),
-    "order --a 10 --n 343 --format csv": (0, "33c65190876b0c80", "e3b0c44298fc1c14"),
+    "order --a 10 --n 343 --format csv": (0, "06955bc856ca749a", "e3b0c44298fc1c14"),
     "order --a 3 --n 98 --format table": (0, "a432f3cb6fd6cde9", "e3b0c44298fc1c14"),
     "order --a 3 --n 98 --format json": (0, "0c428d74e4f357c7", "e3b0c44298fc1c14"),
-    "order --a 3 --n 98 --format csv": (0, "1d2d2f755826a3cc", "e3b0c44298fc1c14"),
+    "order --a 3 --n 98 --format csv": (0, "b8a2d6da4224b060", "e3b0c44298fc1c14"),
     "least --p 43 --format table": (0, "690321ec8f67dfb3", "e3b0c44298fc1c14"),
     "least --p 43 --format json": (0, "7b6c88a2d27fc34b", "e3b0c44298fc1c14"),
     "least --p 43 --format csv": (0, "2f89660ee495cade", "e3b0c44298fc1c14"),
@@ -119,13 +119,13 @@ GOLDEN = {
     "lift --p 7 --mode enumerate --k 2 --format csv": (0, "88c3ccf2decc7c6d", "e3b0c44298fc1c14"),
     "psi --u 6 --n 41 --format table": (0, "79e3eb253c61dd39", "e3b0c44298fc1c14"),
     "psi --u 6 --n 41 --format json": (0, "67993006fb7643c7", "e3b0c44298fc1c14"),
-    "psi --u 6 --n 41 --format csv": (0, "d90948f61ae674d8", "e3b0c44298fc1c14"),
+    "psi --u 6 --n 41 --format csv": (0, "9fee79602631ee40", "e3b0c44298fc1c14"),
     "psi --formula s --g 19 --p 43 --format table": (0, "a4ee1a5311e30213", "e3b0c44298fc1c14"),
     "psi --formula s --g 19 --p 43 --format json": (0, "bb2cd42be346c17e", "e3b0c44298fc1c14"),
-    "psi --formula s --g 19 --p 43 --format csv": (0, "7e5aa6b2cbb44898", "e3b0c44298fc1c14"),
+    "psi --formula s --g 19 --p 43 --format csv": (0, "7062edbaab5c32ec", "e3b0c44298fc1c14"),
     "psi --formula n --g 19 --p 43 --format table": (0, "7027aef110a22254", "e3b0c44298fc1c14"),
     "psi --formula n --g 19 --p 43 --format json": (0, "589a1c14720e1834", "e3b0c44298fc1c14"),
-    "psi --formula n --g 19 --p 43 --format csv": (0, "a281b5b05caff870", "e3b0c44298fc1c14"),
+    "psi --formula n --g 19 --p 43 --format csv": (0, "2590f02f6c81182d", "e3b0c44298fc1c14"),
     "charsum --trials 3 --seed 5 --format table": (0, "76dead010d2dc752", "e3b0c44298fc1c14"),
     "charsum --trials 3 --seed 5 --format json": (0, "e84e1d3a17b7dafa", "e3b0c44298fc1c14"),
     "charsum --trials 3 --seed 5 --format csv": (0, "e376ce0458b7e918", "e3b0c44298fc1c14"),
@@ -146,10 +146,10 @@ GOLDEN = {
     "agreement --x 100 --format csv": (0, "6089ec207be440cf", "e3b0c44298fc1c14"),
     "period --base 10 --p 7 --k 2 --format table": (0, "b7a87c01d0c12692", "e3b0c44298fc1c14"),
     "period --base 10 --p 7 --k 2 --format json": (0, "c8da0635cb5e39d2", "e3b0c44298fc1c14"),
-    "period --base 10 --p 7 --k 2 --format csv": (0, "5ed46b9a09332f8d", "e3b0c44298fc1c14"),
+    "period --base 10 --p 7 --k 2 --format csv": (0, "6ba6bbb3e410f57a", "e3b0c44298fc1c14"),
     "period --base 2 --p 1093 --k 2 --format table": (0, "8bf59ee1542cf009", "e3b0c44298fc1c14"),
     "period --base 2 --p 1093 --k 2 --format json": (0, "8fc993aa0616f9e4", "e3b0c44298fc1c14"),
-    "period --base 2 --p 1093 --k 2 --format csv": (0, "51172d8944fe6068", "e3b0c44298fc1c14"),
+    "period --base 2 --p 1093 --k 2 --format csv": (0, "f05286c21d8eaa4f", "e3b0c44298fc1c14"),
     "omega --x 1000 --format table": (0, "aa96bc099d1bf8cf", "e3b0c44298fc1c14"),
     "omega --x 1000 --format json": (0, "d823fdc5430131b5", "e3b0c44298fc1c14"),
     "omega --x 1000 --format csv": (0, "28ca2e6d3b916109", "e3b0c44298fc1c14"),
@@ -164,10 +164,10 @@ GOLDEN = {
     "gs-stats --x 1000 --format csv": (0, "fb4aa27a5678edc5", "e3b0c44298fc1c14"),
     "totient --x 100 --k 2 --format table": (0, "0f186ee0207239e7", "e3b0c44298fc1c14"),
     "totient --x 100 --k 2 --format json": (0, "e07642445dd10805", "e3b0c44298fc1c14"),
-    "totient --x 100 --k 2 --format csv": (0, "3b53818d5bb3bf02", "e3b0c44298fc1c14"),
+    "totient --x 100 --k 2 --format csv": (0, "e64357552badb322", "e3b0c44298fc1c14"),
     "totient --x 20000 --format table": (0, "b35610dd80af781c", "e3b0c44298fc1c14"),
     "totient --x 20000 --format json": (0, "7f1bdb03a4049780", "e3b0c44298fc1c14"),
-    "totient --x 20000 --format csv": (0, "6c5095e7b519ffff", "e3b0c44298fc1c14"),
+    "totient --x 20000 --format csv": (0, "ac98c6b8d2689ae9", "e3b0c44298fc1c14"),
     "least --p 40487 --format json": (0, "e01d336db23d95a9", "e3b0c44298fc1c14"),
     "test --g 19 --p 43": (0, "75f65c5cb2c83fe9", "e3b0c44298fc1c14"),
     "order --a 10 --n 343": (0, "8cddad910238a1a3", "e3b0c44298fc1c14"),

@@ -91,3 +91,31 @@ def test_only_for_prime_factors_p_minus_1():
     # which proves p and factors p - 1 once
     found = [f"{name}:{where}" for name, tree in modules() for where in p_minus_1_factorizations(tree)]
     assert found == ["roots.py:CyclicGroupSpec.for_prime"]
+
+
+def output_format_uses(tree):
+    """Each json import, dataclasses.asdict use and relative import under tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(alias.name == "json" for alias in node.names):
+            yield "json"
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                yield "relative import"
+            elif node.module == "json":
+                yield "json"
+            elif node.module == "dataclasses" and any(alias.name == "asdict" for alias in node.names):
+                yield "dataclasses.asdict"
+        elif isinstance(node, ast.Attribute) and node.attr == "asdict":
+            yield "dataclasses.asdict"
+
+
+def test_only_report_knows_the_output_format():
+    # one module owns JSON and CSV output: it alone imports json, no module
+    # converts dataclasses on its own, and report.py imports no primroot module
+    found = sorted(
+        f"{name}:{use}"
+        for name, tree in modules()
+        for use in set(output_format_uses(tree))
+        if use != "relative import" or name == "report.py"
+    )
+    assert found == ["report.py:json"]

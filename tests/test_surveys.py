@@ -16,8 +16,10 @@ from primroot.arith import (
     primes_upto,
 )
 from primroot.errors import ContractError, ResourceLimitError
+from primroot.report import render
 from primroot.surveys import (
     KNOWN_LEAST_ROOT_EXCEPTIONS,
+    SURVEY_COLUMNS,
     density_constants,
     euler_product_constant,
     fixed_g_density,
@@ -182,7 +184,7 @@ def test_survey_workers_deterministic():
 
 def test_survey_csv_roundtrip():
     rep = stationary_survey(10, 5)
-    rows = parse_survey_csv("\n".join(rep.csv_lines()))
+    rows = parse_survey_csv(render(rep, "csv", {"rows": SURVEY_COLUMNS}, None))
     assert tuple(rows) == rep.rows
 
 
