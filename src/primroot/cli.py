@@ -13,7 +13,7 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-from . import characters, roots, surveys
+from . import roots
 from .errors import ContractError, DomainError, ResourceLimitError
 from .modmath import multiplicative_order
 from .report import render
@@ -78,13 +78,14 @@ class Command(NamedTuple):
     """One subcommand: its help line, its arguments and the call behind it.
 
     run(ns) returns a report dataclass or a dict of fields; csv and table_key
-    tell report.render how to print it.
+    tell report.render how to print it.  csv may be a function giving the
+    mapping, so that building this table loads no module a command needs.
     """
 
     help: str
     args: tuple
     run: Callable[[argparse.Namespace], object]
-    csv: dict[str, tuple[str, ...]] | None = None
+    csv: dict[str, tuple[str, ...]] | Callable[[], dict[str, tuple[str, ...]]] | None = None
     table_key: str | None = None
 
 
@@ -118,6 +119,8 @@ def _lift(ns) -> dict:
 
 
 def _psi(ns) -> dict:
+    from . import characters
+
     if ns.formula == "indicator":
         if ns.u is None or ns.n is None:
             raise ContractError("indicator mode needs --u and --n")
@@ -143,6 +146,8 @@ CHARSUM_COLUMNS = ("trial", "modulus", "size_u", "size_v", "magnitude", "bound",
 
 
 def _charsum(ns) -> dict:
+    from . import characters
+
     reports = characters.random_bound_trials(ns.trials, ns.seed, ns.p, ns.additive)
     rows = [
         {"trial": i, **{c: getattr(r, c) for c in CHARSUM_COLUMNS[1:]}, "within_bound": r.slack <= 1.0}
@@ -155,6 +160,13 @@ def _charsum(ns) -> dict:
         "all_within_bound": all(r["within_bound"] for r in rows),
         "rows": rows,
     }
+
+
+def _surveys():
+    """The surveys module, imported on first use, so other commands never load it."""
+    from . import surveys
+
+    return surveys
 
 
 def positive_int(text: str) -> int:
@@ -221,39 +233,39 @@ COMMANDS = {
     "constants": Command(
         "Euler products a1, a2, c2, c3",
         (("--primes", dict(type=positive_int, default=10_000, dest="prime_count")),),
-        lambda ns: surveys.density_constants(ns.prime_count),
+        lambda ns: _surveys().density_constants(ns.prime_count),
     ),
     "survey": Command(
         "stationary counts over [x, 2x]",
         (_required("--x"), _required("--z")),
-        lambda ns: surveys.stationary_survey(ns.x, ns.z, ns.workers, _progress("survey")),
-        csv={"rows": surveys.SURVEY_COLUMNS},
+        lambda ns: _surveys().stationary_survey(ns.x, ns.z, ns.workers, _progress("survey")),
+        csv=lambda: {"rows": _surveys().SURVEY_COLUMNS},
     ),
     "agreement": Command(
         "g(p) vs h(p) over [x, 2x]",
         (_required("--x"),),
-        lambda ns: surveys.least_root_agreement(ns.x, ns.workers, _progress("agreement")),
+        lambda ns: _surveys().least_root_agreement(ns.x, ns.workers, _progress("agreement")),
     ),
     "period": Command(
         "repetend period of 1/p^k",
         (_required("--base"), _required("--p"), ("--k", dict(type=int, default=1))),
-        lambda ns: surveys.period(ns.base, ns.p, ns.k),
+        lambda ns: _surveys().period(ns.base, ns.p, ns.k),
     ),
-    "omega": Command("omega sums up to x", (_required("--x"),), lambda ns: surveys.omega_sums(ns.x)),
+    "omega": Command("omega sums up to x", (_required("--x"),), lambda ns: _surveys().omega_sums(ns.x)),
     "fixed-g": Command(
         "stationary density of one g",
         (_required("--g"), _required("--x")),
-        lambda ns: surveys.fixed_g_density(ns.g, ns.x),
+        lambda ns: _surveys().fixed_g_density(ns.g, ns.x),
     ),
     "gs-stats": Command(
         "least stationary root stats",
         (_required("--x"),),
-        lambda ns: surveys.least_gs_stats(ns.x, ns.workers, _progress("gs-stats")),
+        lambda ns: _surveys().least_gs_stats(ns.x, ns.workers, _progress("gs-stats")),
     ),
     "totient": Command(
         "sum of (phi(p-1)/(p-1))^k",
         (_required("--x"), ("--k", dict(type=positive_int, default=1))),
-        lambda ns: surveys.totient_ratio_sum(ns.x, ns.k),
+        lambda ns: _surveys().totient_ratio_sum(ns.x, ns.k),
     ),
 }
 
@@ -282,7 +294,9 @@ def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     cmd = COMMANDS[ns.command]
     try:
-        _emit(render(cmd.run(ns), ns.format, cmd.csv, cmd.table_key), ns.output)
+        result = cmd.run(ns)
+        csv = cmd.csv() if callable(cmd.csv) else cmd.csv
+        _emit(render(result, ns.format, csv, cmd.table_key), ns.output)
     except (ContractError, DomainError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

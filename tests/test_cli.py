@@ -7,7 +7,7 @@ import pytest
 
 from primroot.cli import COMMANDS, main
 from primroot.report import as_dict, render
-from primroot.surveys import parse_survey_csv, stationary_survey
+from primroot.surveys import SURVEY_COLUMNS, parse_survey_csv, stationary_survey
 
 
 def run_cli(capsys, *argv):
@@ -283,7 +283,7 @@ def test_survey_flags_reach_the_run(capsys):
         capsys, "survey", "--x", "50", "--z", "5", "--workers", "3", "--format", "csv"
     )
     assert rc == 0
-    assert out == render(stationary_survey(50, 5), "csv", COMMANDS["survey"].csv, None) + "\n"
+    assert out == render(stationary_survey(50, 5), "csv", {"rows": SURVEY_COLUMNS}, None) + "\n"
 
 
 def test_readme_documents_every_command():

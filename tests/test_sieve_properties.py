@@ -1,15 +1,19 @@
 """Property tests: the factor-sieve fast paths against their pointwise routes."""
 
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import naive_is_prime
 from primroot import arith
 from primroot.arith import (
+    DEFAULT_MAX_SPAN,
     euler_phi,
     factorize,
+    first_primes,
     mobius,
     omega,
     omega_mobius_tables,
@@ -19,6 +23,7 @@ from primroot.arith import (
     primes_upto,
     spf_table,
 )
+from primroot.errors import ResourceLimitError
 from primroot.roots import RootClass, classify
 from primroot.surveys import fixed_g_density
 
@@ -87,3 +92,56 @@ def test_window_primes_of_p_minus_1_equal_factorize(seg, lo, hi):
             got[start + i].append(qi)
         start += len(seg_p)
     assert got == [[q for q, _ in factorize(p - 1).factors] for p in primes]
+
+
+CROSSOVER = arith._SIEVE_CROSSOVER
+
+
+def assert_primes_upto(n, primes):
+    """primes is every prime <= n: the segmented sieve's list, and trial division
+    agrees on the last 2,000 integers, where an off-by-one at n would show."""
+    assert primes == primes_in_range(2, n)
+    tail = range(max(n - 2000, 0), n + 1)
+    assert [p for p in primes if p >= tail.start] == [m for m in tail if naive_is_prime(m)]
+
+
+def test_primes_upto_agrees_on_both_sides_of_the_crossover():
+    rng = random.Random(13)
+    below = [rng.randrange(2, CROSSOVER) for _ in range(3)]
+    above = [rng.randrange(CROSSOVER, 3 * CROSSOVER) for _ in range(3)]
+    for n in [CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, *below, *above]:
+        assert_primes_upto(n, primes_upto(n))
+
+
+def first_primes_bound(count: int) -> int:
+    """The n that first_primes(count) asks primes_upto for first."""
+
+    class Asked(Exception):
+        pass
+
+    def spy(n):
+        raise Asked(n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "primes_upto", spy)
+        with pytest.raises(Asked) as asked:
+            first_primes(count)
+    return asked.value.args[0]
+
+
+def test_first_primes_agrees_where_its_bound_crosses_over():
+    lo, hi = 6, CROSSOVER  # the least count whose bound reaches the crossover is in (lo, hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if first_primes_bound(mid) >= CROSSOVER else (mid, hi)
+    assert first_primes_bound(lo) < CROSSOVER <= first_primes_bound(hi)
+    for count in (lo, hi):
+        primes = first_primes(count)
+        assert len(primes) == count
+        assert_primes_upto(primes[-1], primes)
+
+
+def test_primes_upto_keeps_the_span_guard():
+    assert primes_upto(1) == []
+    with pytest.raises(ResourceLimitError, match="exceeds budget"):
+        primes_upto(DEFAULT_MAX_SPAN + 3)

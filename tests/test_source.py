@@ -24,25 +24,49 @@ def test_no_assert_statements_in_the_library():
     assert found == []
 
 
-def numpy_imports(node, in_function=False):
-    """(line, whether inside a function body) of each import of numpy under node."""
+def imports(node, in_function=False):
+    """(modules named, whether inside a function body) of each import under node.
+
+    `from a import b` names a and a.b.  A relative import names modules of
+    primroot: `from . import surveys` and `from .surveys import x` both name
+    primroot.surveys.
+    """
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Import):
-            names = [alias.name for alias in child.names]
-        elif isinstance(child, ast.ImportFrom) and child.level == 0:
-            names = [child.module]
-        else:
-            names = []
-        if any(n == "numpy" or n.startswith("numpy.") for n in names):
-            yield child.lineno, in_function
-        yield from numpy_imports(child, in_function or isinstance(child, FUNCTIONS))
+            yield [alias.name for alias in child.names], in_function
+        elif isinstance(child, ast.ImportFrom):
+            base = ".".join(filter(None, ["primroot", child.module])) if child.level else child.module
+            yield [base, *(f"{base}.{alias.name}" for alias in child.names)], in_function
+        yield from imports(child, in_function or isinstance(child, FUNCTIONS))
 
 
 def test_only_the_kernel_module_imports_numpy_when_loaded():
     # import primroot and the scalar commands must not load numpy: every
     # other module imports it inside the functions that use it
-    at_load = [name for name, tree in modules() for _, in_function in numpy_imports(tree) if not in_function]
+    at_load = [
+        name
+        for name, tree in modules()
+        for names, in_function in imports(tree)
+        if not in_function and any(n == "numpy" or n.startswith("numpy.") for n in names)
+    ]
     assert at_load == ["_kernel.py"]
+
+
+CORE = ("__init__.py", "arith.py", "cli.py", "modmath.py", "report.py", "roots.py")
+
+
+def test_core_modules_import_characters_and_surveys_only_in_functions():
+    # import primroot and the core commands must not load these two modules
+    found = [
+        f"{name}:{module}"
+        for name, tree in modules()
+        if name in CORE
+        for names, in_function in imports(tree)
+        if not in_function
+        for module in names
+        if module in ("primroot.characters", "primroot.surveys")
+    ]
+    assert found == []
 
 
 def names_used(node):
