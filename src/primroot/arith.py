@@ -123,11 +123,11 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Sieves: one bytearray sieve (prime flags, factorize's trial primes, short
-# prime lists), the one segmented sieve and what is built on it.  Each table
-# checks its memory need against TABLE_BUDGET_BYTES before it allocates
-# anything.  numpy is imported by the functions that use it, so importing
-# this module never loads it.
+# Sieves: one bytearray sieve (the segmented sieve's base primes, factorize's
+# trial primes, short prime lists), the one segmented sieve and what is built
+# on it.  spf_table and each walk's base-prime flags check their memory need
+# against TABLE_BUDGET_BYTES before they allocate anything.  numpy is imported
+# by the functions that use it, so importing this module never loads it.
 
 
 def _sieve(n: int) -> bytearray:
@@ -150,13 +150,6 @@ def _check_table_budget(n: int, entry_bytes: int) -> None:
         )
 
 
-def prime_flags(n: int):
-    """Boolean array a with a[i] == (i prime), for 0 <= i <= n: _sieve's bytes."""
-    import numpy as np
-    _check_table_budget(n, 1)
-    return np.frombuffer(_sieve(n), dtype=bool)
-
-
 def _segments(lo: int, hi: int, cofactors: bool = True):
     """The one loop over integers: [lo, hi] in segments of DEFAULT_SEGMENT_SIZE.
 
@@ -171,7 +164,8 @@ def _segments(lo: int, hi: int, cofactors: bool = True):
     import numpy as np
     if hi - lo > DEFAULT_MAX_SPAN:
         raise ResourceLimitError(f"range width {hi - lo} exceeds budget {DEFAULT_MAX_SPAN}")
-    base = np.flatnonzero(prime_flags(math.isqrt(hi + 1))).tolist()
+    _check_table_budget(math.isqrt(hi + 1), 1)  # the base primes' flags, a byte each
+    base = np.flatnonzero(np.frombuffer(_sieve(math.isqrt(hi + 1)), dtype=bool)).tolist()
     top = int(hi).bit_length() if cofactors else 2  # p**k <= hi needs k < its bit length
     pq = [(p, p**k) for p in base for k in range(1, top) if p**k <= hi]
     q_arr = np.array([q for _, q in pq], dtype=np.int64)
@@ -228,28 +222,6 @@ def _omega_mobius_segment(marks, big):
     has_big = big > 1
     w += has_big
     np.negative(mu, out=mu, where=has_big)
-    return w, mu
-
-
-def phi_table(n: int):
-    """phi(m) for all 0 <= m <= n, as int32."""
-    import numpy as np
-    _check_table_budget(n, 4)
-    phi = np.empty(n + 1, dtype=np.int32)  # no page touched before the span guard passes
-    for start, size, marks, big in _segments(0, n):
-        phi[start : start + size] = _phi_segment(marks, big)
-    return phi
-
-
-def omega_mobius_tables(n: int):
-    """omega(m) and mu(m) for all 0 <= m <= n, as int8, from one sieve pass."""
-    import numpy as np
-    _check_table_budget(n, 2)
-    w = np.empty(n + 1, dtype=np.int8)  # no page touched before the span guard passes
-    mu = np.empty(n + 1, dtype=np.int8)
-    for start, size, marks, big in _segments(0, n):
-        w[start : start + size], mu[start : start + size] = _omega_mobius_segment(marks, big)
-    mu[0] = 0
     return w, mu
 
 

@@ -23,7 +23,7 @@ from .arith import (
 )
 from .errors import ContractError
 from .modmath import multiplicative_order
-from .report import NOT_SERIALIZED, SCHEMA_VERSION, Report, csv_lines
+from .report import NOT_SERIALIZED, Report
 from .roots import (
     CyclicGroupSpec,
     LeastRoots,
@@ -114,9 +114,9 @@ def density_constants(prime_count: int) -> ConstantsReport:
     )
 
 
-@lru_cache(maxsize=4)
-def _reference_c2(prime_count: int = 10_000) -> float:
-    return density_constants(prime_count).c2
+@lru_cache(maxsize=1)
+def _reference_c2() -> float:
+    return density_constants(10_000).c2
 
 
 # ---------------------------------------------------------------------------
@@ -136,18 +136,17 @@ class TotientRatioReport(Report):
     per_x_log_x: float
 
 
-def totient_ratio_sum(x: int, k: int = 1, exact: bool | None = None) -> TotientRatioReport:
+def totient_ratio_sum(x: int, k: int = 1) -> TotientRatioReport:
     """Accumulate (phi(p-1)/(p-1))^k over primes p <= x.
 
-    Small x (default up to 10**4) is summed as exact rationals.  Larger x
+    x up to EXACT_SUM_LIMIT is summed as exact rationals.  Larger x
     switches to a 128-fractional-bit fixed-point accumulator: each term is
     still formed exactly, and the total carries at worst pi(x) * 2^-128 of
     rounding, far below anything a float report can show.
     """
     if x < 2 or k < 1:
         raise ContractError("need x >= 2 and k >= 1")
-    if exact is None:
-        exact = x <= EXACT_SUM_LIMIT
+    exact = x <= EXACT_SUM_LIMIT
     total, acc, count = Fraction(0), 0, 0
     for ps, fs in _prime_totients(2, x):
         count += len(ps)
@@ -189,7 +188,7 @@ class MixedMainTermReport(Report):
     ratio_to_c2_x_log_x: float
 
 
-def mixed_main_term(x: int, reference_c2: float | None = None) -> MixedMainTermReport:
+def mixed_main_term(x: int) -> MixedMainTermReport:
     """Main-term sum for the window [x, 2x], reported against c2 * x/log x.
 
     phi(phi(p^2)) = (p-1) phi(p-1) since phi(p^2) = p(p-1) with p prime, so
@@ -204,7 +203,7 @@ def mixed_main_term(x: int, reference_c2: float | None = None) -> MixedMainTermR
             (f * (p * p + (p - 1) * f) << FIXED_POINT_BITS) // ((p - 1) * p * p) for p, f in zip(ps, fs)
         )
     total = acc / 2 / 2**FIXED_POINT_BITS
-    c2 = reference_c2 if reference_c2 is not None else _reference_c2()
+    c2 = _reference_c2()
     expected = c2 * x / math.log(x) if x > 1 else float("nan")
     return MixedMainTermReport(
         x=x,
@@ -256,20 +255,6 @@ class StationarySurveyReport(Report):
     ns_per_z2: float
     nn_per_z_pi: float
     nn_per_z2: float
-
-
-def parse_survey_csv(text: str) -> list[SurveyRow]:
-    """Rows of the survey CSV that report.render writes, for round-trip checks."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if lines[0] != csv_lines([], SURVEY_COLUMNS)[0]:
-        raise ContractError(f"unexpected CSV header: {lines[0]!r}")
-    rows = []
-    for ln in lines[1:]:
-        ver, *cells = (int(c) for c in ln.split(","))
-        if ver != SCHEMA_VERSION:
-            raise ContractError(f"unsupported schema_version {ver}")
-        rows.append(SurveyRow(*cells))
-    return rows
 
 
 def survey_row(p: int, z: int) -> SurveyRow:
@@ -449,7 +434,9 @@ def fixed_g_density(g: int, x: int) -> FixedGDensity:
 
     g = 0, +-1 and perfect squares are rejected: they can never generate for
     almost all p, so their density question is vacuous.  p = 2 counts in the
-    denominator but never in the numerator.
+    denominator but never in the numerator.  Each p classifies the residue
+    g mod p, not g, so where p <= |g| or g < 0 the count can differ from
+    classify(g mod p^2, p): g = 8 counts p = 3, though 8^2 = 1 mod 9.
     """
     from ._kernel import _int_mod, _stationary_batch
     if g in (-1, 0, 1) or (g > 1 and math.isqrt(g) ** 2 == g):

@@ -16,9 +16,6 @@ from primroot.arith import (
     is_prime_info,
     mobius,
     omega,
-    omega_mobius_tables,
-    phi_table,
-    prime_flags,
     primes_in_range,
     primes_upto,
     spf_table,
@@ -100,12 +97,26 @@ def test_first_primes():
 
 def test_small_primes_equal_the_numpy_sieve():
     # factorize's trial-division list is built without numpy
-    assert arith._SMALL_PRIMES == np.flatnonzero(prime_flags(arith._TRIAL_BOUND)).tolist()
+    assert arith._SMALL_PRIMES == primes_in_range(2, arith._TRIAL_BOUND)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 1000, 46341])
-def test_prime_flags_match_trial_division(n):
-    assert prime_flags(n).tolist() == [naive_is_prime(i) for i in range(n + 1)]
+def test_sieve_flags_match_trial_division(n):
+    assert list(arith._sieve(n)) == [int(naive_is_prime(i)) for i in range(n + 1)]
+
+
+def test_base_primes_keep_the_table_budget():
+    # a walk to 2**60 needs flags for the 2**30 integers up to its square
+    # root, over the budget: refused before the sieve runs
+    def no_sieve(n):
+        raise AssertionError(f"sieved up to {n}")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_sieve", no_sieve)
+        with pytest.raises(ResourceLimitError, match="budget"):
+            primes_in_range(2**60, 2**60 + 10)
+    lo = 10**12
+    assert primes_in_range(lo, lo + 1000) == [m for m in range(lo, lo + 1001) if is_prime(m)]
 
 
 def test_factorize_examples():
@@ -175,6 +186,17 @@ def test_omega_mobius():
     assert mobius(factorize(6)) == 1
 
 
+def segment_values(n):
+    """phi, omega and mu of every 0 <= m <= n from the segment helpers, over _segments(0, n)."""
+    phi, w, mu = [], [], []
+    for _, _, marks, big in arith._segments(0, n):
+        phi += arith._phi_segment(marks, big).tolist()
+        w_seg, mu_seg = arith._omega_mobius_segment(marks, big)
+        w += w_seg.tolist()
+        mu += mu_seg.tolist()
+    return phi, w, mu
+
+
 @pytest.mark.parametrize("seg", [None, 64])
 def test_tables_match_pointwise_functions(monkeypatch, seg):
     # 2209 = 47^2 sits on the isqrt(n) cut-off; 3000 leaves many m with one
@@ -182,11 +204,10 @@ def test_tables_match_pointwise_functions(monkeypatch, seg):
     if seg:
         monkeypatch.setattr(arith, "DEFAULT_SEGMENT_SIZE", seg)
     for n in (1, 2, 3, 4, 2209, 3000):
-        phi = phi_table(n)
-        w, mu = omega_mobius_tables(n)
+        phi, w, mu = segment_values(n)
         spf = spf_table(n)
         assert len(phi) == len(w) == len(mu) == len(spf) == n + 1
-        assert (phi[0], w[0], mu[0], spf[0]) == (0, 0, 0, 0)
+        assert (phi[0], w[0], spf[0]) == (0, 0, 0)
         for m in range(1, n + 1):
             f = factorize(m)
             assert phi[m] == euler_phi(f), (n, m)
@@ -196,12 +217,13 @@ def test_tables_match_pointwise_functions(monkeypatch, seg):
 
 
 def test_table_dtypes_are_narrow():
-    w, mu = omega_mobius_tables(100)
+    (_, _, marks, big), = arith._segments(0, 100)
+    w, mu = arith._omega_mobius_segment(marks, big)
     assert w.dtype == mu.dtype == np.int8
-    assert phi_table(100).dtype == spf_table(100).dtype == np.int32
+    assert arith._phi_segment(marks, big).dtype == spf_table(100).dtype == np.int32
 
 
-@pytest.mark.parametrize("table", [prime_flags, phi_table, spf_table, omega_mobius_tables])
+@pytest.mark.parametrize("table", [spf_table])
 def test_tables_refuse_sizes_over_budget(table):
     # refused before any allocation, so this allocates nothing
     with pytest.raises(ResourceLimitError, match="budget"):

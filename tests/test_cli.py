@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from primroot.cli import COMMANDS, main
-from primroot.report import as_dict, render
-from primroot.surveys import SURVEY_COLUMNS, parse_survey_csv, stationary_survey
+from primroot.report import SCHEMA_VERSION, as_dict, render
+from primroot.surveys import SURVEY_COLUMNS, SurveyRow, stationary_survey
 
 
 def run_cli(capsys, *argv):
@@ -124,10 +124,12 @@ def test_survey_csv_roundtrip(capsys):
         capsys, "survey", "--x", "10", "--z", "5", "--format", "csv"
     )
     assert rc == 0
-    rows = parse_survey_csv(out)
-    assert tuple(rows) == stationary_survey(10, 5).rows
     # data stream is machine clean: header plus one line per prime
-    assert len(out.strip().splitlines()) == 1 + len(rows)
+    header, *lines = out.splitlines()
+    assert header == ",".join(("schema_version", *SURVEY_COLUMNS))
+    cells = [[int(c) for c in line.split(",")] for line in lines]
+    assert {ver for ver, *_ in cells} == {SCHEMA_VERSION}
+    assert tuple(SurveyRow(*row) for _, *row in cells) == stationary_survey(10, 5).rows
 
 
 def test_survey_json_roundtrip(capsys):

@@ -16,8 +16,6 @@ from primroot.arith import (
     first_primes,
     mobius,
     omega,
-    omega_mobius_tables,
-    phi_table,
     prime_windows,
     primes_in_range,
     primes_upto,
@@ -53,8 +51,9 @@ def test_fixed_g_density_equals_classify_loop(g, x):
 @given(n=st.integers(0, 30_000), picks=st.lists(st.integers(0, 30_000), max_size=40))
 @example(n=2209, picks=[2209, 2208, 2162, 47 * 43, 46 * 47])
 def test_table_entries_equal_factorize(n, picks):
-    phi = phi_table(n)
-    w, mu = omega_mobius_tables(n)
+    (_, _, marks, big), = arith._segments(0, n)  # one segment at the default size
+    phi = arith._phi_segment(marks, big)
+    w, mu = arith._omega_mobius_segment(marks, big)
     spf = spf_table(n)
     for m in {pick % (n + 1) for pick in picks} - {0}:
         f = factorize(m)

@@ -94,6 +94,40 @@ def test_every_private_helper_has_a_caller():
     assert dead == []
 
 
+# The scalar references the tests check the fast paths against: survey_row
+# for the batch kernel behind stationary_survey, local_factor for the log
+# sums of euler_product_constant.
+TEST_REFERENCES = {"survey_row", "local_factor"}
+
+
+def names_mentioned(name, tree):
+    """names_used, plus each imported name, plus the string names of __init__'s lazy table."""
+    yield from names_used(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+        elif name == "__init__.py" and isinstance(node, ast.Assign):
+            if ast.unparse(node.targets[0]) == "_LAZY_MODULES":
+                yield from (c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+
+
+def test_every_public_name_has_a_caller():
+    # a public function or class that no other line of the library names is
+    # there only for the tests
+    trees = modules()
+    used = Counter(used for name, tree in trees for used in names_mentioned(name, tree))
+    dead = [
+        f"{name}:{node.name}"
+        for name, tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in TEST_REFERENCES
+        and used[node.name] == Counter(names_mentioned(name, node))[node.name]
+    ]
+    assert dead == []
+
+
 def p_minus_1_factorizations(node, scope=()):
     """Qualified name of the function around each call factorize(x - 1) under node."""
     for child in ast.iter_child_nodes(node):

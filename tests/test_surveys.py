@@ -5,21 +5,22 @@ from fractions import Fraction
 import pytest
 
 from conftest import naive_classify_counts, naive_order, naive_repetend_length
-from primroot import arith
+from primroot import arith, surveys
 from primroot.arith import (
+    euler_phi,
     factorize,
     first_primes,
     is_prime,
+    mobius,
     omega,
-    omega_mobius_tables,
-    phi_table,
     primes_upto,
 )
 from primroot.errors import ContractError, ResourceLimitError
-from primroot.report import render
+from primroot.report import SCHEMA_VERSION, render
 from primroot.surveys import (
     KNOWN_LEAST_ROOT_EXCEPTIONS,
     SURVEY_COLUMNS,
+    SurveyRow,
     density_constants,
     euler_product_constant,
     fixed_g_density,
@@ -28,7 +29,6 @@ from primroot.surveys import (
     local_factor,
     mixed_main_term,
     omega_sums,
-    parse_survey_csv,
     period,
     repetend_digits,
     stationary_survey,
@@ -97,19 +97,21 @@ def test_totient_ratio_exact_small():
     assert rep.prime_count == 4
 
 
-def test_totient_ratio_fixed_point_matches_exact():
-    exact = totient_ratio_sum(2000, 1, exact=True)
-    fixed = totient_ratio_sum(2000, 1, exact=False)
+def test_totient_ratio_fixed_point_matches_exact(monkeypatch):
+    exact = totient_ratio_sum(2000, 1)
+    exact2 = totient_ratio_sum(2000, 2)
+    assert exact.exact
+    monkeypatch.setattr(surveys, "EXACT_SUM_LIMIT", 1999)
+    fixed = totient_ratio_sum(2000, 1)
     assert not fixed.exact
     assert abs(exact.total - fixed.total) < Fraction(1, 10**20)
-    exact2 = totient_ratio_sum(2000, 2, exact=True)
-    fixed2 = totient_ratio_sum(2000, 2, exact=False)
+    fixed2 = totient_ratio_sum(2000, 2)
     assert abs(exact2.total - fixed2.total) < Fraction(1, 10**20)
 
 
 def test_mixed_main_term_single_prime_window():
     # [1, 2] holds only p = 2: phi(1)/1 * (1 + phi(phi(4))/4) / 2 = 5/8
-    rep = mixed_main_term(1, reference_c2=0.25)
+    rep = mixed_main_term(1)
     assert rep.prime_count == 1
     assert abs(rep.total - 0.625) < 1e-12
 
@@ -184,8 +186,11 @@ def test_survey_workers_deterministic():
 
 def test_survey_csv_roundtrip():
     rep = stationary_survey(10, 5)
-    rows = parse_survey_csv(render(rep, "csv", {"rows": SURVEY_COLUMNS}, None))
-    assert tuple(rows) == rep.rows
+    header, *lines = render(rep, "csv", {"rows": SURVEY_COLUMNS}, None).splitlines()
+    assert header == ",".join(("schema_version", *SURVEY_COLUMNS))
+    cells = [[int(c) for c in line.split(",")] for line in lines]
+    assert {ver for ver, *_ in cells} == {SCHEMA_VERSION}
+    assert tuple(SurveyRow(*row) for _, *row in cells) == rep.rows
 
 
 def test_agreement_small_window_clean():
@@ -267,7 +272,7 @@ def test_omega_sums_40487_contributes_three():
 
 
 # The sums below fold the m = p - 1 walk segment by segment; the references
-# read whole tables.  With 64 or 97 integers a segment, the x cover both sides
+# factorize each m.  With 64 or 97 integers a segment, the x cover both sides
 # of segment edges for each walk (omega: [1, x], totient: [1, x - 1], mixed:
 # [x - 1, 2x - 1]), and x = 129 and 98 leave omega's last segment without a
 # prime <= x.
@@ -275,10 +280,10 @@ STREAMED_X = (2, 3, 63, 64, 65, 66, 96, 97, 98, 99, 128, 129, 130, 194, 195, 100
 
 
 def table_omega_sums(x):
-    w, mu = omega_mobius_tables(x)
-    shifted = [(int(w[p - 1]), int(mu[p - 1])) for p in primes_upto(x)]
+    fs = [factorize(m) for m in range(1, x + 1)]  # fs[m - 1] factors m
+    shifted = [(omega(fs[p - 2]), mobius(fs[p - 2])) for p in primes_upto(x)]
     return (
-        sum(2 ** int(v) for v in w[1:]),
+        sum(2 ** omega(f) for f in fs),
         sum(2**v for v, _ in shifted),
         sum(v * m for v, m in shifted),
         sum(v for v, _ in shifted),
@@ -301,31 +306,35 @@ def test_streamed_omega_sums_match_tables(monkeypatch, seg):
         assert got == table_omega_sums(x), x
 
 
+def phi_p_minus_1(ps):
+    return [euler_phi(factorize(p - 1)) for p in ps]
+
+
 @pytest.mark.parametrize("seg", [64, 97])
 def test_streamed_totient_sums_match_tables(monkeypatch, seg):
     monkeypatch.setattr(arith, "DEFAULT_SEGMENT_SIZE", seg)
     for x in STREAMED_X:
-        phi = phi_table(x)
         ps = primes_upto(x)
+        phi = phi_p_minus_1(ps)
         for k in (1, 2):
-            exact = sum(Fraction(int(phi[p - 1]), p - 1) ** k for p in ps)
-            fixed = sum((int(phi[p - 1]) ** k << 128) // (p - 1) ** k for p in ps)
-            rep = totient_ratio_sum(x, k, exact=True)
+            exact = sum(Fraction(f, p - 1) ** k for p, f in zip(ps, phi))
+            fixed = sum((f**k << 128) // (p - 1) ** k for p, f in zip(ps, phi))
+            rep = totient_ratio_sum(x, k)
             assert (rep.total, rep.prime_count) == (exact, len(ps)), (x, k)
-            assert totient_ratio_sum(x, k, exact=False).total == Fraction(fixed, 1 << 128), (x, k)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(surveys, "EXACT_SUM_LIMIT", 1)
+                assert totient_ratio_sum(x, k).total == Fraction(fixed, 1 << 128), (x, k)
 
 
 @pytest.mark.parametrize("seg", [64, 97])
 def test_streamed_mixed_main_term_matches_tables(monkeypatch, seg):
     monkeypatch.setattr(arith, "DEFAULT_SEGMENT_SIZE", seg)
     for x in (1,) + STREAMED_X:
-        phi = phi_table(2 * x)
         ps = [p for p in primes_upto(2 * x) if p >= x]
         acc = 0
-        for p in ps:
-            f = int(phi[p - 1])
+        for p, f in zip(ps, phi_p_minus_1(ps)):
             acc += (f * (p * p + (p - 1) * f) << 128) // ((p - 1) * p * p)
-        rep = mixed_main_term(x, reference_c2=0.5)
+        rep = mixed_main_term(x)
         assert (rep.total, rep.prime_count) == (acc / 2 / 2**128, len(ps)), x
 
 
