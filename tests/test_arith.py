@@ -105,7 +105,13 @@ def test_sieve_flags_match_trial_division(n):
     assert list(arith._sieve(n)) == [int(naive_is_prime(i)) for i in range(n + 1)]
 
 
-def test_base_primes_keep_the_table_budget():
+def window_primes(lo, hi):
+    """The odd primes of [lo, hi] as prime_windows lists them."""
+    return [int(p) for ps, _, _ in arith.prime_windows(lo, hi) for p in ps]
+
+
+@pytest.mark.parametrize("walk", [primes_in_range, window_primes])
+def test_base_primes_keep_the_table_budget(walk):
     # a walk to 2**60 needs flags for the 2**30 integers up to its square
     # root, over the budget: refused before the sieve runs
     def no_sieve(n):
@@ -114,9 +120,9 @@ def test_base_primes_keep_the_table_budget():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arith, "_sieve", no_sieve)
         with pytest.raises(ResourceLimitError, match="budget"):
-            primes_in_range(2**60, 2**60 + 10)
+            walk(2**60, 2**60 + 10)
     lo = 10**12
-    assert primes_in_range(lo, lo + 1000) == [m for m in range(lo, lo + 1001) if is_prime(m)]
+    assert walk(lo, lo + 1000) == [m for m in range(lo, lo + 1001) if is_prime(m)]
 
 
 def test_factorize_examples():
