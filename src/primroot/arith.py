@@ -1,22 +1,40 @@
 """Primality, prime enumeration, factorization, and the functions phi, omega, mu.
 
-Everything is deterministic: the Miller-Rabin witness set is fixed, and the
-Pollard-rho parameter schedule is fixed, so factorizations are reproducible
-bit for bit across runs.
+Everything is deterministic: the Miller-Rabin witnesses are a fixed prefix of
+one base list, sized by n, and the Pollard-rho parameter schedule is fixed,
+so factorizations are reproducible bit for bit across runs.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, starmap
 
 from .errors import ContractError, ResourceLimitError
 
-# Witnesses proving primality for every n below 3317044064679887385961981,
-# which covers the full 64-bit range and more (Sorenson & Webster).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_BOUND = 3317044064679887385961981
+# The one witness list, the first 13 primes.  _MR_PSI[t - 1] is psi_t, the
+# least strong pseudoprime to all of its first t bases (OEIS A014233; Jaeschke,
+# Sorenson & Webster), so those t bases prove every n < psi_t: 5 bases below
+# 2152302898747, at most 12 below 2**64, all 13 below psi_13.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+_MR_DETERMINISTIC_BOUND = _MR_PSI[-1]
 
 # Fixed number of extra rounds above the deterministic bound; bases are drawn
 # from a splitmix-style generator seeded by n itself, so results stay
@@ -59,7 +77,11 @@ class PrimalityInfo:
 
     `deterministic` is True when n is below the proven witness bound; above
     it the verdict means "strong probable prime after `rounds` rounds" and
-    can in principle be wrong for adversarial inputs.
+    can in principle be wrong for adversarial inputs.  `rounds` is the size
+    of the witness set n's size calls for: t = bisect_right(_MR_PSI, n) + 1
+    bases below the bound, all 13 plus EXTRA_MR_ROUNDS seeded bases above
+    it, and 0 when n < 2 or a base divides n.  A composite stops at its
+    first witness, so fewer rounds may run than reported.
     """
 
     n: int
@@ -106,15 +128,16 @@ def is_prime_info(n: int) -> PrimalityInfo:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    bases = _MR_BASES[: bisect_right(_MR_PSI, n) + 1]
+    for a in bases:
         if not _mr_round(n, a, d, s):
-            return PrimalityInfo(n, False, True, len(_MR_BASES))
+            return PrimalityInfo(n, False, True, len(bases))
     if n < _MR_DETERMINISTIC_BOUND:
-        return PrimalityInfo(n, True, True, len(_MR_BASES))
+        return PrimalityInfo(n, True, True, len(bases))
     for a in _seeded_bases(n, EXTRA_MR_ROUNDS):
         if not _mr_round(n, a, d, s):
-            return PrimalityInfo(n, False, True, len(_MR_BASES) + EXTRA_MR_ROUNDS)
-    return PrimalityInfo(n, True, False, len(_MR_BASES) + EXTRA_MR_ROUNDS)
+            return PrimalityInfo(n, False, True, len(bases) + EXTRA_MR_ROUNDS)
+    return PrimalityInfo(n, True, False, len(bases) + EXTRA_MR_ROUNDS)
 
 
 def is_prime(n: int) -> bool:
@@ -354,28 +377,39 @@ def _brent_rho(n: int) -> int:
 
 # read off the bytearray, so that importing this module never loads numpy
 _SMALL_PRIMES = list(compress(range(_TRIAL_BOUND + 1), _sieve(_TRIAL_BOUND)))
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+# 1009 is the least prime above _TRIAL_BOUND: a cofactor free of the trial
+# primes and below its square has no second prime factor, so it is prime
+_PRIME_BELOW = 1009**2
 
 
 def factorize(n: int) -> Factorization:
     """Complete prime-power decomposition of n >= 1.
 
-    Trial division below a fixed bound, then deterministic Brent rho on the
-    remaining cofactors.  factorize(1) has an empty factor list.
+    The primes below a fixed bound come off one gcd with their product, then
+    deterministic Brent rho splits the remaining cofactors; a cofactor below
+    _PRIME_BELOW is prime without a Miller-Rabin test.  factorize(1) has an
+    empty factor list.
     """
     if n < 1:
         raise ContractError(f"factorize requires n >= 1, got {n}")
     original = n
     found: dict[int, int] = {}
+    g = math.gcd(n, _SMALL_PRIMORIAL)  # the product of n's primes below the bound
     for p in _SMALL_PRIMES:
-        if p * p > n:
+        if g == 1:
             break
-        while n % p == 0:
-            found[p] = found.get(p, 0) + 1
-            n //= p
+        if g % p == 0:
+            g //= p
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            found[p] = e
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if is_prime(m):
+        if m < _PRIME_BELOW or is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue
         d = _brent_rho(m)

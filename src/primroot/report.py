@@ -8,8 +8,8 @@ as a table, JSON or CSV.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import fields, is_dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 SCHEMA_VERSION = 1
@@ -54,7 +54,9 @@ def _json_ready(value):
         return [_json_ready(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _json_ready(v) for k, v in value.items()}
-    if isinstance(value, Fraction):
+    # no value is a Fraction before fractions is loaded, so this module never loads it
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
         return float(value)
     return value
 

@@ -23,6 +23,23 @@ def naive_is_prime(n: int) -> bool:
     return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+def naive_factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """(p, e) pairs of n >= 1, ascending, by dividing out each d = 2, 3, ... in turn."""
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
 def naive_order(a: int, n: int) -> int:
     """Multiply until 1 reappears."""
     a %= n

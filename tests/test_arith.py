@@ -3,10 +3,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import naive_is_prime, naive_primes
+from conftest import naive_factorize, naive_is_prime, naive_primes
 from primroot import arith
 from primroot.arith import (
+    EXTRA_MR_ROUNDS,
     TABLE_BUDGET_BYTES,
     euler_phi,
     factorization_times_prime,
@@ -23,7 +26,26 @@ from primroot.arith import (
 from primroot.errors import ContractError, ResourceLimitError
 
 CARMICHAELS = (561, 1105, 1729, 41041, 512461)
-STRONG_PSEUDOPRIMES = (3215031751, 3825123056546413051)
+# psi_t of OEIS A014233: the least odd n > 1 that is a strong pseudoprime to
+# each of the first t prime bases, t = 1..13
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+STRONG_PSEUDOPRIMES = tuple(sorted(set(PSI)))
+FIRST_13_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def test_is_prime_catalogued_primes():
@@ -40,8 +62,12 @@ def test_is_prime_matches_trial_division():
 
 
 def test_is_prime_hard_composites():
+    # psi_12 passes all twelve bases 2..37, the whole witness list before base 41
+    assert PSI_12 == 399165290221 * 798330580441
     for n in CARMICHAELS + STRONG_PSEUDOPRIMES:
-        assert not is_prime(n)
+        info = is_prime_info(n)
+        assert not info.probably_prime, n
+        assert info.deterministic, n
 
 
 def test_is_prime_near_word_size():
@@ -49,6 +75,92 @@ def test_is_prime_near_word_size():
     assert not is_prime(2**64 - 1)
     info = is_prime_info(18446744073709551557)
     assert info.deterministic
+    assert info.rounds == 12  # psi_11 < n < psi_12
+
+
+def free_of_bases(n, step):
+    """The first of n, n + step, n + 2 * step, ... that none of the 13 bases divides."""
+    while any(n % p == 0 for p in FIRST_13_PRIMES):
+        n += step
+    return n
+
+
+# (start, step, the bases its size needs) on both sides of tier boundaries:
+# the n tested is free_of_bases(start, step), so no division settles it
+TIER_ROUNDS = [
+    (2047 - 2, -2, 1),
+    (2047 + 2, 2, 2),
+    (PSI[4] - 2, -2, 5),
+    (PSI[4], 2, 6),
+    (PSI[4] + 2, 2, 6),
+    (PSI[6] - 2, -2, 7),
+    (PSI[6], 2, 9),  # psi_7 == psi_8: the tier skips 8
+    (PSI[8] - 2, -2, 9),
+    (PSI[8] + 2, 2, 12),  # psi_9 == psi_10 == psi_11
+    (PSI_12 - 2, -2, 12),
+    (PSI_12, 2, 13),
+    (PSI_12 + 2, 2, 13),
+    (PSI[-1] - 2, -2, 13),
+]
+
+
+@pytest.mark.parametrize("start,step,tier", TIER_ROUNDS)
+def test_rounds_equal_the_tier(start, step, tier):
+    n = free_of_bases(start, step)
+    assert abs(n - start) < 100
+    info = is_prime_info(n)
+    assert info.rounds == tier
+    assert info.deterministic
+
+
+def sprp(n, a):
+    """n is a strong probable prime to base a (odd n > a)."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def all_13_bases(n):
+    """The verdict of every one of the 13 bases, whatever n's size."""
+    if n < 2:
+        return False
+    if any(n % p == 0 for p in FIRST_13_PRIMES):
+        return n in FIRST_13_PRIMES
+    return all(sprp(n, a) for a in FIRST_13_PRIMES)
+
+
+# each tier's range [psi_(t-1), psi_t), the empty ones left out
+TIER_RANGES = [(lo, hi) for lo, hi in zip((3,) + PSI, PSI) if lo < hi]
+
+
+@st.composite
+def tier_inputs(draw):
+    """An n from one tier's range, moved up to the next odd n free of the 13
+    bases that base 2 cannot witness composite: a prime or a hard composite.
+    A draw that the move takes out of its range is rejected."""
+    lo, hi = draw(st.sampled_from(TIER_RANGES))
+    n = free_of_bases(draw(st.integers(lo, hi - 1)) | 1, 2)
+    while not sprp(n, 2):
+        n = free_of_bases(n + 2, 2)
+    assume(n < hi)
+    return n
+
+
+@settings(max_examples=200, deadline=None)
+@given(tier_inputs())
+@example(PSI[4])
+@example(PSI[8])
+@example(PSI_12)
+def test_tiered_verdict_equals_all_13_bases(n):
+    assert is_prime(n) == all_13_bases(n)
 
 
 def test_is_prime_above_certificate_bound():
@@ -56,7 +168,7 @@ def test_is_prime_above_certificate_bound():
     info = is_prime_info(m89)
     assert info.probably_prime
     assert not info.deterministic
-    assert info.rounds > 12
+    assert info.rounds == 13 + EXTRA_MR_ROUNDS
     assert not is_prime(m89 + 2)
 
 
@@ -98,6 +210,8 @@ def test_first_primes():
 def test_small_primes_equal_the_numpy_sieve():
     # factorize's trial-division list is built without numpy
     assert arith._SMALL_PRIMES == primes_in_range(2, arith._TRIAL_BOUND)
+    # factorize takes a cofactor below the square of the next prime as prime
+    assert arith._PRIME_BELOW == primes_in_range(arith._TRIAL_BOUND + 1, 2 * arith._TRIAL_BOUND)[0] ** 2
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 1000, 46341])
@@ -129,6 +243,16 @@ def test_factorize_examples():
     assert factorize(40486).factors == ((2, 1), (31, 1), (653, 1))
     assert factorize(1).factors == ()
     assert factorize(1639197169).factors == ((40487, 2),)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [997**3 * 1009, 991 * 997 * 1009**2, 1009**2, 1, 2**60, 1018057],
+    ids=["997^3*1009", "991*997*1009^2", "1009^2", "1", "2^60", "prime-below-1009^2"],
+)
+def test_factorize_at_the_trial_bound(n):
+    # 997 is the largest trial prime and 1009 the least prime above the bound
+    assert factorize(n).factors == naive_factorize(n)
 
 
 def test_factorize_structure():

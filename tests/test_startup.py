@@ -75,6 +75,22 @@ print(json.dumps({{"loaded": loaded, "codes": codes, "lazy": lazy}}))
     assert got["lazy"][: len(CORE_ARGV) + 1] == [[]] * (len(CORE_ARGV) + 1)
 
 
+def test_core_commands_never_load_fractions():
+    # report converts a Fraction without importing fractions (and decimal with it)
+    code = f"""
+import contextlib, io, json, sys
+from primroot import cli
+codes, loaded = [], []
+for argv in {CORE_ARGV + [["least", "--p", "43", "--format", "json"]]!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+    loaded.append([m for m in ("fractions", "decimal") if m in sys.modules])
+print(json.dumps({{"codes": codes, "loaded": loaded}}))
+"""
+    got = run_fresh(code)
+    assert got == {"codes": [0] * (len(CORE_ARGV) + 1), "loaded": [[]] * (len(CORE_ARGV) + 1)}
+
+
 def test_import_primroot_loads_neither_lazy_module_nor_numpy():
     # then the package attribute loads the submodule, as perfbench/run.py reads it
     code = f"""
