@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 from .arith import (
     Factorization,
@@ -23,6 +24,12 @@ from .arith import (
 )
 from .errors import ContractError
 from .modmath import inv_mod, multiplicative_order
+
+# Entries kept by each per-prime memo: for_prime's specs and with_generator's
+# scans.  tracemalloc measured, per 10-digit prime, about 780 B for a cached
+# spec (the spec, its factorization of p-1 and the cache entry) and 280 B for
+# a cached scan, so both caches full hold about 1.1 MB.
+SPEC_CACHE_SIZE = 1024
 
 
 class RootClass(Enum):
@@ -69,8 +76,15 @@ class CyclicGroupSpec:
         return cls.for_prime(p).raised(k, doubled)
 
     @classmethod
+    @lru_cache(maxsize=SPEC_CACHE_SIZE, typed=True)
     def for_prime(cls, p: int) -> "CyclicGroupSpec":
-        _require_odd_prime(p)
+        """The spec of the odd prime p: proves p and factors p-1, once per p while cached.
+
+        A failure is not cached, so a p that is not an odd prime raises on
+        every call; typed=True keeps 5.0 from hitting the entry of 5.
+        """
+        if p < 3 or not is_prime(p):
+            raise ContractError(f"{p} is not an odd prime")
         return cls(p, p - 1, factorize(p - 1), p, 1, False)
 
     @classmethod
@@ -100,10 +114,16 @@ class CyclicGroupSpec:
         """Return a copy carrying the least generator (found by scan, verified)."""
         if self.generator is not None:
             return self
-        g = 2
-        while not is_primitive_root(g, self):
-            g += 1
-        return replace(self, generator=g)
+        return _with_least_generator(self)
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _with_least_generator(spec: CyclicGroupSpec) -> CyclicGroupSpec:
+    """with_generator's scan, memoized per spec."""
+    g = 2
+    while not is_primitive_root(g, spec):
+        g += 1
+    return replace(spec, generator=g)
 
 
 def is_primitive_root(g: int, spec: CyclicGroupSpec) -> bool:
@@ -117,11 +137,6 @@ def is_primitive_root(g: int, spec: CyclicGroupSpec) -> bool:
         return False
     m = spec.group_order
     return all(pow(g, m // q, n) != 1 for q, _ in spec.order_factorization.factors)
-
-
-def _require_odd_prime(p: int) -> None:
-    if p < 3 or not is_prime(p):
-        raise ContractError(f"{p} is not an odd prime")
 
 
 def lifts_to_p2(g: int, p: int) -> bool:
@@ -172,16 +187,19 @@ def _classify_unit(u: int, p: int, primes_p1) -> RootClass:
 
 
 def classify(g: int, p: int, fac_p1: Factorization | None = None) -> RootClass:
-    """Classify g relative to p: NotCoprime, NotRoot, Nonstationary, Stationary."""
+    """Classify g relative to p: NotCoprime, NotRoot, Nonstationary, Stationary.
+
+    fac_p1, when given, must be the factorization of p - 1; any other raises
+    ContractError.
+    """
     if g < 1:
         raise ContractError(f"g must be >= 1, got {g}")
-    if fac_p1 is None:
-        fac_p1 = CyclicGroupSpec.for_prime(p).order_factorization
-    else:
-        _require_odd_prime(p)
+    fac = CyclicGroupSpec.for_prime(p).order_factorization
+    if fac_p1 is not None and fac_p1 != fac:
+        raise ContractError(f"fac_p1 = {fac_p1} is not the factorization of p - 1 = {p - 1}")
     if g % p == 0:
         return RootClass.NOT_COPRIME
-    return _classify_unit(g, p, [q for q, _ in fac_p1.factors])
+    return _classify_unit(g, p, [q for q, _ in fac.factors])
 
 
 def bad_lift_residue(root: int, p: int) -> int:

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from functools import lru_cache, partial
+from typing import TYPE_CHECKING
 
 from .arith import (
     _check_table_budget,
@@ -32,6 +32,9 @@ from .roots import (
     _least_roots,
     least_roots,
 )
+
+if TYPE_CHECKING:  # fractions, and decimal with it, loads only in the two functions that use it
+    from fractions import Fraction
 
 SURVEY_BLOCK_CELLS = 1 << 14  # at most this many (p, g) pairs per stationary_survey block
 # Peak bytes per g in one worker of stationary_survey: the cached g tables
@@ -79,6 +82,8 @@ class ConstantsReport(Report):
 
 def local_factor(p: int, k: int) -> Fraction:
     """The factor 1 - (p^k - (p-1)^k) / (p^k (p-1)) at one prime."""
+    from fractions import Fraction
+
     return 1 - Fraction(p**k - (p - 1) ** k, p**k * (p - 1))
 
 
@@ -144,6 +149,8 @@ def totient_ratio_sum(x: int, k: int = 1) -> TotientRatioReport:
     still formed exactly, and the total carries at worst pi(x) * 2^-128 of
     rounding, far below anything a float report can show.
     """
+    from fractions import Fraction
+
     if x < 2 or k < 1:
         raise ContractError("need x >= 2 and k >= 1")
     exact = x <= EXACT_SUM_LIMIT

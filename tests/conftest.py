@@ -3,9 +3,28 @@
 Everything here avoids the library's fast paths on purpose (no witness sets,
 no factored orders, no lifting shortcuts) so tests compare two genuinely
 different routes to the same numbers.
+
+The file also holds the one pytest hook, and stays importable with the
+standard library alone: the benchmark's oracle checks load it as a plain
+module.
 """
 
 import math
+import sys
+
+
+def pytest_runtest_setup(item):
+    """Start every test with cold memos, so no test sees what another proved.
+
+    Clears the caches of the library modules already loaded and imports none.
+    """
+    roots = sys.modules.get("primroot.roots")
+    if roots is not None:
+        roots.CyclicGroupSpec.for_prime.cache_clear()
+        roots._with_least_generator.cache_clear()
+    characters = sys.modules.get("primroot.characters")
+    if characters is not None:
+        characters._bsgs_table.cache_clear()
 
 
 def naive_primes(limit: int) -> list[int]:

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_is_primitive_root, naive_order
-from primroot.arith import euler_phi, factorize, primes_upto
+from primroot.arith import Factorization, euler_phi, factorize, is_prime, primes_upto
 from primroot.characters import psi_s_formula
 from primroot.errors import ContractError
 from primroot.modmath import inv_mod
 from primroot.roots import (
+    SPEC_CACHE_SIZE,
     CyclicGroupSpec,
     RootClass,
     bad_lift_residue,
@@ -145,6 +146,16 @@ def test_classify_examples():
         classify(3, 42)
     with pytest.raises(ContractError):
         classify(0, 43)
+
+
+def test_classify_rejects_a_wrong_factorization():
+    # 2 has order 3 mod 7: without the prime 2 of p - 1 it would read as stationary
+    with pytest.raises(ContractError):
+        classify(2, 7, Factorization(6, ((3, 1),)))
+    with pytest.raises(ContractError):
+        classify(3, 43, factorize(41))
+    assert classify(2, 7, factorize(6)) is RootClass.NOT_ROOT
+    assert classify(3, 43, factorize(42)) is RootClass.STATIONARY
 
 
 def test_bad_lift_residue_examples():
@@ -421,3 +432,51 @@ def test_lift_checks_validate_p_once(monkeypatch, call):
     monkeypatch.setattr(roots_mod, "factorize", counting_factorize)
     assert call()
     assert calls == [("is_prime", 40487), ("factorize", 40486)]
+    calls.clear()
+    assert call()
+    assert calls == []  # the spec of 40487 is memoized
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=3, max_value=10**15))
+def test_for_prime_memo_equals_the_uncached_build(n):
+    p = n
+    while not is_prime(p):
+        p += 1
+    uncached = CyclicGroupSpec.for_prime.__wrapped__(CyclicGroupSpec, p)
+    assert CyclicGroupSpec.for_prime(p) == uncached
+    assert CyclicGroupSpec.for_prime(p) is CyclicGroupSpec.for_prime(p)
+    assert CyclicGroupSpec.for_prime(p).with_generator() is CyclicGroupSpec.for_prime(p).with_generator()
+
+
+def test_for_prime_memo_keeps_no_failure():
+    for n in (1, 2, 9, 40485, 40487 * 40493):
+        for _ in range(2):
+            with pytest.raises(ContractError):
+                CyclicGroupSpec.for_prime(n)
+    assert CyclicGroupSpec.for_prime.cache_info().currsize == 0
+
+
+def test_for_prime_memo_keeps_a_float_a_type_error():
+    CyclicGroupSpec.for_prime(5)
+    with pytest.raises(TypeError):
+        CyclicGroupSpec.for_prime(5.0)
+
+
+def test_spec_memos_are_bounded():
+    from primroot.roots import _with_least_generator
+
+    primes = primes_upto(10**4)[1 : SPEC_CACHE_SIZE + 11]
+    assert len(primes) == SPEC_CACHE_SIZE + 10
+    for p in primes:
+        spec = CyclicGroupSpec.for_prime(p).with_generator()
+        assert is_primitive_root(spec.generator, spec)
+    for memo in (CyclicGroupSpec.for_prime, _with_least_generator):
+        info = memo.cache_info()
+        assert (info.misses, info.currsize) == (SPEC_CACHE_SIZE + 10, SPEC_CACHE_SIZE)
+    # the least recently used entries went first
+    misses = CyclicGroupSpec.for_prime.cache_info().misses
+    CyclicGroupSpec.for_prime(primes[-1])
+    assert CyclicGroupSpec.for_prime.cache_info().misses == misses
+    CyclicGroupSpec.for_prime(primes[0])
+    assert CyclicGroupSpec.for_prime.cache_info().misses == misses + 1

@@ -75,20 +75,36 @@ print(json.dumps({{"loaded": loaded, "codes": codes, "lazy": lazy}}))
     assert got["lazy"][: len(CORE_ARGV) + 1] == [[]] * (len(CORE_ARGV) + 1)
 
 
-def test_core_commands_never_load_fractions():
-    # report converts a Fraction without importing fractions (and decimal with it)
+def fractions_loaded_fresh(argvs: list[list[str]]) -> dict:
+    """Run each argv in turn in one new interpreter: exit codes, and fractions/decimal loaded after each."""
     code = f"""
 import contextlib, io, json, sys
 from primroot import cli
 codes, loaded = [], []
-for argv in {CORE_ARGV + [["least", "--p", "43", "--format", "json"]]!r}:
+for argv in {argvs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
     loaded.append([m for m in ("fractions", "decimal") if m in sys.modules])
 print(json.dumps({{"codes": codes, "loaded": loaded}}))
 """
-    got = run_fresh(code)
+    return run_fresh(code)
+
+
+def test_core_commands_never_load_fractions():
+    # report converts a Fraction without importing fractions (and decimal with it)
+    got = fractions_loaded_fresh(CORE_ARGV + [["least", "--p", "43", "--format", "json"]])
     assert got == {"codes": [0] * (len(CORE_ARGV) + 1), "loaded": [[]] * (len(CORE_ARGV) + 1)}
+
+
+def test_bulk_commands_without_exact_sums_never_load_fractions():
+    # surveys imports fractions only inside local_factor and totient_ratio_sum
+    argvs = [
+        SURVEY_ARGV,
+        ["agreement", "--x", "1000", "--format", "json"],
+        ["omega", "--x", "1000"],
+        ["fixed-g", "--g", "2", "--x", "1000"],
+    ]
+    assert fractions_loaded_fresh(argvs) == {"codes": [0] * 4, "loaded": [[]] * 4}
 
 
 def test_import_primroot_loads_neither_lazy_module_nor_numpy():
