@@ -16,8 +16,6 @@ from .arith import (
     first_primes,
     is_prime,
     is_prime_info,
-    mobius,
-    omega,
     primes_in_range,
     primes_upto,
 )
@@ -31,11 +29,9 @@ from .roots import (
     bad_lift_residue,
     classify,
     is_primitive_root,
-    is_primitive_root_2pk,
     least_roots,
     lift_enumerate,
     lift_pair_check,
-    lifts_to_p2,
     stationary_propagation,
 )
 
@@ -76,7 +72,6 @@ _LAZY_MODULES = {
         "period",
         "stationary_survey",
         "totient_ratio_sum",
-        "verify_known_exceptions",
     ),
 }
 _LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}

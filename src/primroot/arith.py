@@ -1,4 +1,4 @@
-"""Primality, prime enumeration, factorization, and the functions phi, omega, mu.
+"""Primality, prime enumeration, factorization, and Euler's phi.
 
 Everything is deterministic: the Miller-Rabin witnesses are a fixed prefix of
 one base list, sized by n, and the Pollard-rho parameter schedule is fixed,
@@ -435,15 +435,4 @@ def euler_phi(f: Factorization) -> int:
         out *= p ** (e - 1) * (p - 1)
     return out
 
-
-def omega(f: Factorization) -> int:
-    """Number of distinct prime divisors."""
-    return len(f.factors)
-
-
-def mobius(f: Factorization) -> int:
-    """Mobius function: 0 on non-squarefree, else (-1)**omega."""
-    if any(e > 1 for _, e in f.factors):
-        return 0
-    return -1 if len(f.factors) % 2 else 1
 

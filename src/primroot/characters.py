@@ -38,15 +38,6 @@ class UnitRoot:
         g = math.gcd(num, den)
         return cls(num // g, den // g)
 
-    def __mul__(self, other: "UnitRoot") -> "UnitRoot":
-        return UnitRoot.from_angle(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    def conjugate(self) -> "UnitRoot":
-        return UnitRoot.from_angle(-self.numerator, self.denominator)
-
     def to_complex(self) -> complex:
         if self.numerator == 0:
             return 1 + 0j

@@ -105,6 +105,7 @@ def _lift(ns) -> dict:
     p = ns.p
     if ns.mode == "enumerate":
         spec_p = CyclicGroupSpec.for_prime(p)
+        roots._lift_size(spec_p.raised(ns.k + 1))  # refuse a lift over budget before the scan
         level = [g for g in range(1, p + 1) if roots.is_primitive_root(g, spec_p)]
         for lvl in range(1, ns.k + 1):
             level = roots.lift_enumerate(p, lvl, level)
@@ -266,6 +267,11 @@ COMMANDS = {
         "sum of (phi(p-1)/(p-1))^k",
         (_required("--x"), ("--k", dict(type=positive_int, default=1))),
         lambda ns: _surveys().totient_ratio_sum(ns.x, ns.k),
+    ),
+    "main-term": Command(
+        "main term over [x, 2x] against c2 x/log x",
+        (_required("--x"),),
+        lambda ns: _surveys().mixed_main_term(ns.x),
     ),
 }
 

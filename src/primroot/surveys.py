@@ -24,16 +24,9 @@ from .arith import (
 from .errors import ContractError
 from .modmath import multiplicative_order
 from .report import NOT_SERIALIZED, Report
-from .roots import (
-    CyclicGroupSpec,
-    LeastRoots,
-    RootClass,
-    _classify_unit,
-    _least_roots,
-    least_roots,
-)
+from .roots import CyclicGroupSpec, LeastRoots, _least_roots
 
-if TYPE_CHECKING:  # fractions, and decimal with it, loads only in the two functions that use it
+if TYPE_CHECKING:  # fractions, and decimal with it, loads only in totient_ratio_sum
     from fractions import Fraction
 
 SURVEY_BLOCK_CELLS = 1 << 14  # at most this many (p, g) pairs per stationary_survey block
@@ -61,15 +54,6 @@ KNOWN_LEAST_ROOT_EXCEPTIONS = ((40487, 5, 10), (6692367337, 5, 7))
 
 
 @dataclass(frozen=True)
-class EulerProductEntry(Report):
-    """Partial product over the first `prime_count` primes for one exponent k."""
-
-    k: int
-    prime_count: int
-    value: float
-
-
-@dataclass(frozen=True)
 class ConstantsReport(Report):
     """a1, a2 partial products plus c2 = (a1+a2)/2 and c3 = (a1-a2)/2."""
 
@@ -80,15 +64,8 @@ class ConstantsReport(Report):
     c3: float
 
 
-def local_factor(p: int, k: int) -> Fraction:
-    """The factor 1 - (p^k - (p-1)^k) / (p^k (p-1)) at one prime."""
-    from fractions import Fraction
-
-    return 1 - Fraction(p**k - (p - 1) ** k, p**k * (p - 1))
-
-
-def euler_product_constant(k: int, prime_count: int) -> EulerProductEntry:
-    """Product of the local factors over the first `prime_count` primes.
+def euler_product_constant(k: int, prime_count: int) -> float:
+    """Product of 1 - (p^k - (p-1)^k) / (p^k (p-1)) over the first `prime_count` primes.
 
     Accumulated as compensated sums of log1p terms, giving 15+ significant
     digits; the two printed reference constants are reproduced to better
@@ -100,16 +77,16 @@ def euler_product_constant(k: int, prime_count: int) -> EulerProductEntry:
     for p in first_primes(prime_count):
         num = p**k - (p - 1) ** k
         den = p**k * (p - 1)
-        if num >= den:  # exactly: local_factor(p, k) = 1 - num/den <= 0
+        if num >= den:  # exactly: the local factor 1 - num/den is <= 0
             raise ArithmeticError(f"local factor at {p} not positive")
         terms.append(math.log1p(-num / den))
-    return EulerProductEntry(k=k, prime_count=prime_count, value=math.exp(math.fsum(terms)))
+    return math.exp(math.fsum(terms))
 
 
 def density_constants(prime_count: int) -> ConstantsReport:
     """c2 and c3 derived from a1 and a2 over the same prime set."""
-    a1 = euler_product_constant(1, prime_count).value
-    a2 = euler_product_constant(2, prime_count).value
+    a1 = euler_product_constant(1, prime_count)
+    a2 = euler_product_constant(2, prime_count)
     return ConstantsReport(
         prime_count=prime_count,
         a1=a1,
@@ -264,30 +241,8 @@ class StationarySurveyReport(Report):
     nn_per_z2: float
 
 
-def survey_row(p: int, z: int) -> SurveyRow:
-    """Counts over g in [2, 2z] for one prime, plus its least roots.
-
-    A scalar loop for any odd prime p: the reference the batch kernel behind
-    stationary_survey is tested against.
-    """
-    if 2 * z >= p * p:
-        raise ContractError(f"2z = {2 * z} reaches p^2 = {p * p}; counts undefined")
-    spec = CyclicGroupSpec.for_prime(p)  # validates p once for the whole row
-    primes_p1 = [q for q, _ in spec.order_factorization.factors]
-    n_s = n_n = 0
-    for g in range(2, 2 * z + 1):
-        if g % p == 0:
-            continue
-        cls = _classify_unit(g, p, primes_p1)
-        if cls is RootClass.STATIONARY:
-            n_s += 1
-        elif cls is RootClass.NONSTATIONARY:
-            n_n += 1
-    return _survey_row(z, n_s, n_n, _least_roots(p, primes_p1))
-
-
 def _survey_block(block: tuple[list, list], z: int) -> list[SurveyRow]:
-    """survey_row for each prime of a block (primes, primes of each p-1), by the batch kernel."""
+    """The survey row of each prime of a block (primes, primes of each p-1), by the batch kernel."""
     from ._kernel import _count_roots_batch
     n_s, n_n = _count_roots_batch(*block, 2 * z)
     return [_survey_row(z, int(s), int(n), r) for s, n, r in zip(n_s, n_n, map(_least_roots, *block))]
@@ -412,15 +367,6 @@ def least_root_agreement(x: int, workers: int = 1, progress=None) -> AgreementRe
         n_disagree=len(exceptions),
         exceptions=exceptions,
     )
-
-
-def verify_known_exceptions() -> bool:
-    """Pointwise re-check of the two catalogued g(p) != h(p) primes."""
-    for p, g, h in KNOWN_LEAST_ROOT_EXCEPTIONS:
-        r = least_roots(p)
-        if (r.g, r.h) != (g, h):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,13 @@ def naive_factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def mobius(factors) -> int:
+    """Mobius function of the number with these (p, e) pairs: 0 unless squarefree, else (-1)**omega."""
+    if any(e > 1 for _, e in factors):
+        return 0
+    return -1 if len(factors) % 2 else 1
+
+
 def naive_order(a: int, n: int) -> int:
     """Multiply until 1 reappears."""
     a %= n

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_factorize, naive_is_prime, naive_primes
+from conftest import mobius, naive_factorize, naive_is_prime, naive_primes
 from primroot import arith
 from primroot.arith import (
     EXTRA_MR_ROUNDS,
@@ -17,8 +17,6 @@ from primroot.arith import (
     first_primes,
     is_prime,
     is_prime_info,
-    mobius,
-    omega,
     primes_in_range,
     primes_upto,
     spf_table,
@@ -308,14 +306,6 @@ def test_phi_of_prime_powers():
             assert euler_phi(factorize(2 * p**k)) == phi_pk
 
 
-def test_omega_mobius():
-    assert omega(factorize(40486)) == 3
-    assert mobius(factorize(1)) == 1
-    assert mobius(factorize(12)) == 0
-    assert mobius(factorize(30)) == -1
-    assert mobius(factorize(6)) == 1
-
-
 def segment_values(n):
     """phi, omega and mu of every 0 <= m <= n from the segment helpers, over _segments(0, n)."""
     phi, w, mu = [], [], []
@@ -325,6 +315,14 @@ def segment_values(n):
         w += w_seg.tolist()
         mu += mu_seg.tolist()
     return phi, w, mu
+
+
+def test_omega_mobius():
+    # hand values, in the segment tables and in the reference mobius
+    _, w, mu = segment_values(40486)
+    assert w[40486] == 3
+    assert [mu[m] for m in (1, 6, 12, 30)] == [1, 1, 0, -1]
+    assert [mobius(factorize(m).factors) for m in (1, 6, 12, 30)] == [1, 1, 0, -1]
 
 
 @pytest.mark.parametrize("seg", [None, 64])
@@ -341,8 +339,8 @@ def test_tables_match_pointwise_functions(monkeypatch, seg):
         for m in range(1, n + 1):
             f = factorize(m)
             assert phi[m] == euler_phi(f), (n, m)
-            assert w[m] == omega(f), (n, m)
-            assert mu[m] == mobius(f), (n, m)
+            assert w[m] == len(f.factors), (n, m)
+            assert mu[m] == mobius(f.factors), (n, m)
             assert spf[m] == (f.factors[0][0] if f.factors else 0), (n, m)
 
 

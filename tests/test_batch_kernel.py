@@ -1,5 +1,7 @@
 """The batch root-classification kernel against the scalar routes it replaces."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,13 +17,8 @@ from primroot._kernel import (
 )
 from primroot.arith import factorize, is_prime, primes_upto, spf_table
 from primroot.errors import ContractError
-from primroot.roots import RootClass, _classify_unit
-from primroot.surveys import (
-    _survey_block,
-    fixed_g_density,
-    stationary_survey,
-    survey_row,
-)
+from primroot.roots import RootClass, _classify_unit, classify, least_roots
+from primroot.surveys import SurveyRow, _survey_block, fixed_g_density, stationary_survey
 
 # the two largest primes below 2**31, where products come closest to 2**62
 TOP_PRIMES = (2147483647, 2147483629)
@@ -33,6 +30,14 @@ odd_primes = st.one_of(st.sampled_from(SMALL_PRIMES), st.sampled_from(TOP_PRIMES
 def block(primes) -> tuple[list, list]:
     """A _survey_block block: the primes, and the primes of each p - 1 from factorize."""
     return list(primes), [[q for q, _ in factorize(p - 1).factors] for p in primes]
+
+
+def survey_row(p: int, z: int) -> SurveyRow:
+    """One survey row by the scalar route: classify each g in [2, 2z], then least_roots(p)."""
+    counts = Counter(classify(g, p) for g in range(2, 2 * z + 1))
+    n_s, n_n = counts[RootClass.STATIONARY], counts[RootClass.NONSTATIONARY]
+    r = least_roots(p)
+    return SurveyRow(p=p, z=z, n_pr=n_s + n_n, n_s=n_s, n_n=n_n, g=r.g, h=r.h, gs=r.gs)
 
 
 def fermat_quotient(a: int, p: int) -> int:

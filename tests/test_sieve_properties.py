@@ -7,15 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_is_prime
+from conftest import mobius, naive_is_prime
 from primroot import arith
 from primroot.arith import (
     DEFAULT_MAX_SPAN,
     euler_phi,
     factorize,
     first_primes,
-    mobius,
-    omega,
     prime_windows,
     primes_in_range,
     primes_upto,
@@ -58,8 +56,8 @@ def test_table_entries_equal_factorize(n, picks):
     for m in {pick % (n + 1) for pick in picks} - {0}:
         f = factorize(m)
         assert phi[m] == euler_phi(f)
-        assert w[m] == omega(f)
-        assert mu[m] == mobius(f)
+        assert w[m] == len(f.factors)
+        assert mu[m] == mobius(f.factors)
         assert spf[m] == (f.factors[0][0] if f.factors else 0)
 
 

@@ -1,11 +1,13 @@
 """Checks on the library's source text."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).parents[1] / "src" / "primroot"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def modules():
@@ -86,7 +88,7 @@ def test_every_private_helper_has_a_caller():
         f"{name}:{node.name}"
         for name, tree in trees
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        if isinstance(node, DEFINITIONS)
         and node.name.startswith("_")
         and not node.name.endswith("__")
         and used[node.name] == Counter(names_used(node))[node.name]
@@ -94,38 +96,53 @@ def test_every_private_helper_has_a_caller():
     assert dead == []
 
 
-# The scalar references the tests check the fast paths against: survey_row
-# for the batch kernel behind stationary_survey, local_factor for the log
-# sums of euler_product_constant.
-TEST_REFERENCES = {"survey_row", "local_factor"}
+ACCEPTANCE = SRC.parents[1] / "tests" / "test_acceptance.py"
+# Python calls these when it builds an object, never by name
+CONSTRUCTION_HOOKS = {"__init__", "__post_init__"}
 
 
-def names_mentioned(name, tree):
-    """names_used, plus each imported name, plus the string names of __init__'s lazy table."""
-    yield from names_used(tree)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.alias):
-            yield node.name.split(".")[-1]
-        elif name == "__init__.py" and isinstance(node, ast.Assign):
-            if ast.unparse(node.targets[0]) == "_LAZY_MODULES":
-                yield from (c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+def public_definitions(tree):
+    """(qualified name, node) of each public function and class, and of each method of a public class.
+
+    A dunder method other than a construction hook counts as public: an
+    operator is part of the API too.
+    """
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if (
+                        isinstance(member, DEFINITIONS)
+                        and member.name not in CONSTRUCTION_HOOKS
+                        and (not member.name.startswith("_") or member.name.endswith("__"))
+                    ):
+                        yield f"{node.name}.{member.name}", member
 
 
 def test_every_public_name_has_a_caller():
-    # a public function or class that no other line of the library names is
-    # there only for the tests
+    # a public function, class or method that no other line of the library
+    # calls is there only for the tests, unless the acceptance gate calls it;
+    # a re-export in __init__ is no call
     trees = modules()
-    used = Counter(used for name, tree in trees for used in names_mentioned(name, tree))
+    used = Counter(used for _, tree in trees for used in names_used(tree))
+    acceptance = ast.parse(ACCEPTANCE.read_text())
+    gate = {*names_used(acceptance), *(a.name for a in ast.walk(acceptance) if isinstance(a, ast.alias))}
     dead = [
-        f"{name}:{node.name}"
+        f"{name}:{qualified}"
         for name, tree in trees
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in TEST_REFERENCES
-        and used[node.name] == Counter(names_mentioned(name, node))[node.name]
+        for qualified, node in public_definitions(tree)
+        if used[node.name] == Counter(names_used(node))[node.name] and node.name not in gate
     ]
     assert dead == []
+
+
+def test_readme_cli_block_names_each_command_once():
+    from primroot.cli import COMMANDS
+
+    readme = (SRC.parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    assert sorted(re.findall(r"^primroot ([\w-]+)", block, re.M)) == sorted(COMMANDS)
 
 
 def p_minus_1_factorizations(node, scope=()):
@@ -140,7 +157,7 @@ def p_minus_1_factorizations(node, scope=()):
             and ast.unparse(child.args[0].right) == "1"
         ):
             yield ".".join(scope)
-        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        named = isinstance(child, DEFINITIONS)
         yield from p_minus_1_factorizations(child, scope + (child.name,) if named else scope)
 
 

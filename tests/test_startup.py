@@ -97,14 +97,15 @@ def test_core_commands_never_load_fractions():
 
 
 def test_bulk_commands_without_exact_sums_never_load_fractions():
-    # surveys imports fractions only inside local_factor and totient_ratio_sum
+    # surveys imports fractions only inside totient_ratio_sum
     argvs = [
         SURVEY_ARGV,
         ["agreement", "--x", "1000", "--format", "json"],
         ["omega", "--x", "1000"],
         ["fixed-g", "--g", "2", "--x", "1000"],
+        ["main-term", "--x", "1000"],
     ]
-    assert fractions_loaded_fresh(argvs) == {"codes": [0] * 4, "loaded": [[]] * 4}
+    assert fractions_loaded_fresh(argvs) == {"codes": [0] * 5, "loaded": [[]] * 5}
 
 
 def test_import_primroot_loads_neither_lazy_module_nor_numpy():

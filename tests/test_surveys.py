@@ -4,15 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import naive_classify_counts, naive_order, naive_repetend_length
+from conftest import mobius, naive_classify_counts, naive_order, naive_repetend_length
 from primroot import arith, surveys
 from primroot.arith import (
     euler_phi,
     factorize,
     first_primes,
     is_prime,
-    mobius,
-    omega,
     primes_upto,
 )
 from primroot.errors import ContractError, ResourceLimitError
@@ -26,15 +24,12 @@ from primroot.surveys import (
     fixed_g_density,
     least_gs_stats,
     least_root_agreement,
-    local_factor,
     mixed_main_term,
     omega_sums,
     period,
     repetend_digits,
     stationary_survey,
-    survey_row,
     totient_ratio_sum,
-    verify_known_exceptions,
 )
 
 # reference digits for the partial products over the first 10^4 primes
@@ -45,13 +40,13 @@ C3_REF = 0.11330323705739908053736684161221893192939
 
 
 def test_euler_product_single_prime():
-    assert euler_product_constant(1, 1).value == 0.5
-    assert euler_product_constant(2, 1).value == 0.25
+    assert euler_product_constant(1, 1) == 0.5
+    assert euler_product_constant(2, 1) == 0.25
 
 
 def test_euler_product_reference_digits():
-    assert abs(euler_product_constant(1, 10**4).value - A1_REF) / A1_REF < 1e-12
-    assert abs(euler_product_constant(2, 10**4).value - A2_REF) / A2_REF < 1e-12
+    assert abs(euler_product_constant(1, 10**4) - A1_REF) / A1_REF < 1e-12
+    assert abs(euler_product_constant(2, 10**4) - A2_REF) / A2_REF < 1e-12
 
 
 def test_euler_product_mpmath_oracle():
@@ -63,14 +58,19 @@ def test_euler_product_mpmath_oracle():
         for p in first_primes(2000):
             pk = mpf(p) ** k
             prod *= 1 - (pk - mpf(p - 1) ** k) / (pk * (p - 1))
-        ours = euler_product_constant(k, 2000).value
+        ours = euler_product_constant(k, 2000)
         assert abs(ours - float(prod)) < 1e-14
 
 
 def test_euler_product_strictly_decreasing():
     for k in (1, 2):
-        values = [euler_product_constant(k, n).value for n in range(1, 60)]
+        values = [euler_product_constant(k, n) for n in range(1, 60)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def local_factor(p, k):
+    """The exact factor 1 - (p^k - (p-1)^k) / (p^k (p-1)) of euler_product_constant at p."""
+    return 1 - Fraction(p**k - (p - 1) ** k, p**k * (p - 1))
 
 
 def test_local_factor_ordering():
@@ -151,8 +151,6 @@ def test_survey_contract_errors():
     with pytest.raises(ContractError):
         stationary_survey(10, 100)  # 2z reaches p^2 for p = 11
     with pytest.raises(ContractError):
-        survey_row(11, 61)
-    with pytest.raises(ContractError):
         stationary_survey(1, 2)
 
 
@@ -214,8 +212,12 @@ def test_agreement_window_finds_40487():
 
 
 def test_known_exceptions_pointwise():
+    from primroot.roots import least_roots
+
     assert KNOWN_LEAST_ROOT_EXCEPTIONS[1][0] == 6692367337
-    assert verify_known_exceptions()
+    for p, g, h in KNOWN_LEAST_ROOT_EXCEPTIONS:
+        r = least_roots(p)
+        assert (r.g, r.h) == (g, h), p
 
 
 def test_fixed_g_density_contracts():
@@ -250,16 +252,15 @@ def test_omega_sums_hand_value():
 
 def test_omega_sums_brute():
     rep = omega_sums(1000)
-    want_all = sum(2 ** omega(factorize(n)) for n in range(1, 1001))
+    want_all = sum(2 ** len(factorize(n).factors) for n in range(1, 1001))
     assert rep.sum_two_omega_all == want_all
     ps = [p for p in primes_upto(1000)]
-    assert rep.sum_two_omega_shifted == sum(2 ** omega(factorize(p - 1)) for p in ps)
-    assert rep.sum_omega_shifted == sum(omega(factorize(p - 1)) for p in ps)
+    assert rep.sum_two_omega_shifted == sum(2 ** len(factorize(p - 1).factors) for p in ps)
+    assert rep.sum_omega_shifted == sum(len(factorize(p - 1).factors) for p in ps)
     mu_want = 0
     for p in ps:
-        f = factorize(p - 1)
-        mu_p = 0 if any(e > 1 for _, e in f.factors) else (-1) ** omega(f)
-        mu_want += mu_p * omega(f)
+        f = factorize(p - 1).factors
+        mu_want += mobius(f) * len(f)
     assert rep.sum_mu_omega_shifted == mu_want
     assert rep.prime_count == len(ps)
 
@@ -280,10 +281,10 @@ STREAMED_X = (2, 3, 63, 64, 65, 66, 96, 97, 98, 99, 128, 129, 130, 194, 195, 100
 
 
 def table_omega_sums(x):
-    fs = [factorize(m) for m in range(1, x + 1)]  # fs[m - 1] factors m
-    shifted = [(omega(fs[p - 2]), mobius(fs[p - 2])) for p in primes_upto(x)]
+    fs = [factorize(m).factors for m in range(1, x + 1)]  # fs[m - 1] factors m
+    shifted = [(len(fs[p - 2]), mobius(fs[p - 2])) for p in primes_upto(x)]
     return (
-        sum(2 ** omega(f) for f in fs),
+        sum(2 ** len(f) for f in fs),
         sum(2**v for v, _ in shifted),
         sum(v * m for v, m in shifted),
         sum(v for v, _ in shifted),
@@ -459,21 +460,6 @@ def test_period_cross_check_raises(monkeypatch):
     monkeypatch.setattr(surveys_mod, "repetend_digits", lambda *args: [0])
     with pytest.raises(ArithmeticError):
         period(10, 7, 2)
-
-
-def test_survey_row_validates_p_once(monkeypatch):
-    import primroot.roots as roots_mod
-
-    checked = []
-
-    def counting_is_prime(n):
-        checked.append(n)
-        return is_prime(n)
-
-    monkeypatch.setattr(roots_mod, "is_prime", counting_is_prime)
-    row = survey_row(1009, 100)
-    assert checked == [1009]
-    assert (row.n_pr, row.n_s, row.n_n) == naive_classify_counts(1009, 100)
 
 
 @pytest.mark.parametrize(
