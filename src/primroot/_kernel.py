@@ -16,11 +16,12 @@ A unit g is a root iff no chi_q(g) is 1, and stationary iff also Q_p(g) != 0.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .arith import prime_windows, spf_table
+from .arith import prime_windows, primes_upto
 from .errors import ContractError
 
 BATCH_PRIME_LIMIT = 1 << 31
@@ -81,15 +82,16 @@ def _chunks(a: np.ndarray):
 def _g_levels(gmax: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """(spf, ell, levels) over g in [0, gmax]: what _count_roots_batch needs of g.
 
-    spf is the smallest-prime-factor table and ell the primes <= gmax.
+    spf[g] is the least prime factor of g >= 2, and ell the primes <= gmax.
     levels[i] holds the composites with i + 2 prime factors, counted with
     multiplicity, so that spf[g] and g // spf[g] are prime or in an earlier
     level.  Cached so that every block of a survey shares one build.
     """
-    spf = spf_table(gmax)
     g = np.arange(gmax + 1, dtype=np.int32)
+    spf = g.copy()  # left as is at the primes, and at 0 and 1
+    for p in reversed(primes_upto(math.isqrt(gmax))):  # largest first, so the smallest stays
+        spf[p * p :: p] = p
     ready = spf == g  # the primes, and 0 and 1, which no composite needs
-    ready[:2] = True
     ell = np.flatnonzero(ready[2:]).astype(np.int32) + 2
     cof = g // np.maximum(spf, 1)
     levels = []

@@ -148,9 +148,9 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # Sieves: one bytearray sieve (the segmented sieve's base primes, factorize's
 # trial primes, short prime lists), the one segmented sieve and what is built
-# on it.  spf_table and each walk's base-prime flags check their memory need
-# against TABLE_BUDGET_BYTES before they allocate anything.  numpy is imported
-# by the functions that use it, so importing this module never loads it.
+# on it.  Each walk checks its base-prime flags against TABLE_BUDGET_BYTES
+# before it allocates anything.  numpy is imported by the functions that use
+# it, so importing this module never loads it.
 
 
 def _sieve(n: int) -> bytearray:
@@ -163,31 +163,41 @@ def _sieve(n: int) -> bytearray:
     return flags
 
 
-def _check_table_budget(n: int, entry_bytes: int) -> None:
-    if n < 0:
-        raise ContractError(f"table size must be >= 0, got {n}")
-    need = (n + 1) * entry_bytes
+def _check_table_budget(count: int, entry_bytes: int, unit: str) -> None:
+    """Refuse `count` entries of `unit`, entry_bytes each, over TABLE_BUDGET_BYTES."""
+    need = count * entry_bytes
     if need > TABLE_BUDGET_BYTES:
         raise ResourceLimitError(
-            f"tables up to {n} need {need} bytes, over the {TABLE_BUDGET_BYTES}-byte budget"
+            f"{_count(count)} {unit} need {_count(need)} bytes, over the {TABLE_BUDGET_BYTES}-byte budget"
         )
+
+
+def _count(n: int) -> str:
+    """n for a message: its digits up to 20 of them, else how many digits it has."""
+    if n < 10**20:
+        return str(n)
+    digits = int(math.log10(n)) + 1  # the float estimate, then made exact
+    digits += (n >= 10**digits) - (n < 10 ** (digits - 1))
+    return f"a {digits}-digit number of"
 
 
 def _segments(lo: int, hi: int, cofactors: bool = True):
     """The one loop over integers: [lo, hi] in segments of DEFAULT_SEGMENT_SIZE.
 
-    Yields (start, size, marks, big) per segment.  marks lists (p, q, off),
-    ascending, for each base prime p <= isqrt(hi + 1) and q = p or (with
-    cofactors) a power of p up to hi: off indexes the first positive
+    Yields (start, size, marks, big, prime) per segment.  marks lists
+    (p, q, off), ascending, for each base prime p <= isqrt(hi + 1) and q = p
+    or (with cofactors) a power of p up to hi: off indexes the first positive
     multiple of q at or after start, maybe past the segment.  big[i] is the
     prime factor of start + i above the base primes, or 1 (0 at 0): int32
-    while hi + 1 fits, in one buffer that the next segment overwrites.  Base
-    primes reach one past hi so that _shifted_segments can sieve p over p - 1.
+    while hi + 1 fits, in one buffer that the next segment overwrites.
+    prime[i] == (start + i + 1 is prime) for start + i >= 1, sieved from the
+    same marks: the walk over m = p - 1 sees p, which is why the base primes
+    reach one past hi.
     """
     import numpy as np
     if hi - lo > DEFAULT_MAX_SPAN:
         raise ResourceLimitError(f"range width {hi - lo} exceeds budget {DEFAULT_MAX_SPAN}")
-    _check_table_budget(math.isqrt(hi + 1), 1)  # the base primes' flags, a byte each
+    _check_table_budget(math.isqrt(hi + 1) + 1, 1, "base-prime flags")
     base = np.flatnonzero(np.frombuffer(_sieve(math.isqrt(hi + 1)), dtype=bool)).tolist()
     top = int(hi).bit_length() if cofactors else 2  # p**k <= hi needs k < its bit length
     pq = [(p, p**k) for p in base for k in range(1, top) if p**k <= hi]
@@ -205,22 +215,11 @@ def _segments(lo: int, hi: int, cofactors: bool = True):
             for a, b, off in marks:  # the smooth part of each m ...
                 big[off::b] *= a
             np.floor_divide(np.arange(start, start + size, dtype=dtype), big, out=big)  # ... divided out
-        yield start, size, marks, big
-
-
-def spf_table(n: int):
-    """Smallest prime factor of every 0 <= m <= n (int32; 0 at m = 0 and 1)."""
-    import numpy as np
-    _check_table_budget(n, 4)
-    spf = np.zeros(n + 1, dtype=np.int32)
-    for start, size, marks, _ in _segments(0, n, cofactors=False):
-        seg = spf[start : start + size]
-        for p, _, off in reversed(marks):  # largest first, so the smallest stays
-            seg[off::p] = p
-    # no base prime divides an unmarked m >= 2, so m is prime
-    unmarked = np.flatnonzero(spf[2:] == 0) + 2
-    spf[unmarked] = unmarked
-    return spf
+        prime = np.ones(size, dtype=bool)
+        for p, q, off in marks:
+            if q == p:  # the multiples m + 1 of p from p*p on
+                prime[max((off - 1) % p, p * p - 1 - start) :: p] = False
+        yield start, size, marks, big, prime
 
 
 def _phi_segment(marks, big):
@@ -259,26 +258,9 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     if lo > hi:
         return []
     out: list[int] = []
-    for start, size, marks, _ in _segments(lo, hi, cofactors=False):
-        out.extend((_primes_at(start, size, marks, 0).nonzero()[0] + start).tolist())
+    for start, _, _, _, prime in _segments(lo - 1, hi - 1, cofactors=False):
+        out.extend((prime.nonzero()[0] + (start + 1)).tolist())
     return out
-
-
-def _primes_at(start: int, size: int, marks, shift: int):
-    """flags[i] == (start + i + shift is prime), for start + shift >= 2."""
-    import numpy as np
-    flags = np.ones(size, dtype=bool)
-    for p, q, off in marks:
-        if q == p:  # the multiples of p from p*p on
-            flags[max((off - shift) % p, p * p - shift - start) :: p] = False
-    return flags
-
-
-def _shifted_segments(lo: int, hi: int):
-    """The one walk over m = p - 1: (start, size, marks, big, prime) per segment
-    of _segments(lo, hi), lo >= 1, where prime[i] == (start + i + 1 is prime)."""
-    for start, size, marks, big in _segments(lo, hi):
-        yield start, size, marks, big, _primes_at(start, size, marks, 1)
 
 
 def prime_windows(lo: int, hi: int):
@@ -292,8 +274,7 @@ def prime_windows(lo: int, hi: int):
     lo = max(lo, 3)
     if lo > hi:
         return
-    # starmap drops each segment's arrays before the consumer of its window runs
-    yield from starmap(_window_segment, _shifted_segments(lo - 1, hi - 1))
+    yield from starmap(_window_segment, _segments(lo - 1, hi - 1))
 
 
 def _window_segment(start: int, size: int, marks, big, prime):
@@ -330,13 +311,9 @@ def first_primes(count: int) -> list[int]:
         return []
     if count < 6:
         return [2, 3, 5, 7, 11][:count]
-    # PNT upper estimate, padded; grows if the estimate ever falls short
-    bound = int(count * (math.log(count) + math.log(math.log(count)))) + 16
-    while True:
-        ps = primes_upto(bound)
-        if len(ps) >= count:
-            return ps[:count]
-        bound *= 2
+    # Rosser (1941): the n-th prime is below n (ln n + ln ln n) for n >= 6;
+    # the pad covers the float rounding
+    return primes_upto(int(count * (math.log(count) + math.log(math.log(count)))) + 16)[:count]
 
 
 def _brent_rho(n: int) -> int:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from .arith import euler_phi
 from .errors import ContractError, NotInvertibleError, ResourceLimitError
 from .modmath import inv_mod
-from .roots import CyclicGroupSpec, RootClass, _classify_unit, is_primitive_root
+from .roots import CyclicGroupSpec, RootClass, classify, is_primitive_root
 
 BSGS_TABLE_CAP = 1 << 20  # max baby steps kept in memory
 TRIAL_SET_CAP = 64  # largest U or V drawn by random_bound_trials
@@ -159,14 +159,11 @@ def _psi_formula(g: int, p: int, sign: int, counted: RootClass) -> PsiFormulaRes
 
     g follows classify's rule (g >= 1); p is proven and p - 1 factored once.
     """
-    if g < 1:
-        raise ContractError(f"g must be >= 1, got {g}")
+    cls = classify(g, p)
     spec = CyclicGroupSpec.for_prime(p)
     psi_p = 1 if is_primitive_root(g, spec) else 0
     psi_p2 = 1 if is_primitive_root(g, spec.raised(2)) else 0
     formula = Fraction(psi_p * (1 + sign * psi_p2), 2)
-    primes_p1 = [q for q, _ in spec.order_factorization.factors]
-    cls = RootClass.NOT_COPRIME if g % p == 0 else _classify_unit(g, p, primes_p1)
     table = 1 if cls is counted else 0
     return PsiFormulaResult(g, p, formula, table, cls, formula == table)
 

@@ -268,7 +268,7 @@ def _lift_size(spec: CyclicGroupSpec) -> int:
     LIFT_ROOT_BYTES each, would pass the table budget.
     """
     count = euler_phi(spec.order_factorization)
-    _check_table_budget(count, LIFT_ROOT_BYTES)
+    _check_table_budget(count, LIFT_ROOT_BYTES, "lift roots")
     return count
 
 
@@ -334,12 +334,9 @@ def stationary_propagation(g: int, p: int, kmax: int = 4) -> bool:
     not a unit there.  Raises ContractError unless classify(g, p) is
     Stationary.
     """
-    if g < 1:
-        raise ContractError(f"g must be >= 1, got {g}")
-    spec_p = CyclicGroupSpec.for_prime(p)  # validates p and factors p-1 once for every level
-    primes_p1 = [q for q, _ in spec_p.order_factorization.factors]
-    if g % p == 0 or _classify_unit(g, p, primes_p1) is not RootClass.STATIONARY:
+    if classify(g, p) is not RootClass.STATIONARY:
         raise ContractError(f"{g} is not a stationary primitive root of {p}")
+    spec_p = CyclicGroupSpec.for_prime(p)  # classify's spec, from the memo, for every level
     for k in range(2, kmax + 1):
         spec = spec_p.raised(k)
         if multiplicative_order(g % spec.modulus, spec).order != spec.group_order:

@@ -17,7 +17,7 @@ from .arith import (
     _check_table_budget,
     _omega_mobius_segment,
     _phi_segment,
-    _shifted_segments,
+    _segments,
     first_primes,
     prime_windows,
 )
@@ -154,7 +154,7 @@ def totient_ratio_sum(x: int, k: int = 1) -> TotientRatioReport:
 
 def _prime_totients(lo: int, hi: int):
     """The primes p of [lo, hi] and phi(p - 1), as two lists of at most TOTIENT_SLICE each."""
-    for start, size, marks, big, prime in _shifted_segments(max(lo - 1, 1), hi - 1):
+    for start, size, marks, big, prime in _segments(max(lo - 1, 1), hi - 1):
         at = prime.nonzero()[0]
         ps, fs = at + start + 1, _phi_segment(marks, big)[at]
         for i in range(0, len(at), TOTIENT_SLICE):
@@ -309,7 +309,7 @@ def stationary_survey(
         raise ContractError("need x >= 2 and z >= 2")
     _require_workers(workers)
     # every worker holds the g tables and at least one prime's block
-    _check_table_budget(2 * z * workers, SURVEY_CELL_BYTES)
+    _check_table_budget(2 * z * workers, SURVEY_CELL_BYTES, "survey columns (2z x workers)")
     window = _window(x, 2 * x)
     n_p = len(window[0])
     if not n_p:
@@ -440,7 +440,7 @@ def omega_sums(x: int) -> OmegaSumsReport:
     if x < 2:
         raise ContractError(f"need x >= 2, got {x}")
     total_all = total_shifted = mu_omega = omega_shifted = n_primes = 0
-    for start, size, marks, big, prime in _shifted_segments(1, x):
+    for start, size, marks, big, prime in _segments(1, x):
         w, mu = _omega_mobius_segment(marks, big)
         at = prime[: x - start].nonzero()[0]  # m = start + at[k] is p - 1 for a prime p <= x
         w_shifted = w[at]

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from conftest import mobius, naive_factorize, naive_is_prime, naive_primes
 from primroot import arith
 from primroot.arith import (
     EXTRA_MR_ROUNDS,
-    TABLE_BUDGET_BYTES,
     euler_phi,
     factorization_times_prime,
     factorize,
@@ -19,7 +19,6 @@ from primroot.arith import (
     is_prime_info,
     primes_in_range,
     primes_upto,
-    spf_table,
 )
 from primroot.errors import ContractError, ResourceLimitError
 
@@ -205,6 +204,28 @@ def test_first_primes():
     assert ps[-1] == 104729
 
 
+def test_first_primes_bound_covers_every_count(monkeypatch):
+    # Rosser (1941): p_n < n (ln n + ln ln n) for n >= 6, so the one sieve
+    # that first_primes asks for holds the first `count` primes
+    primes = primes_upto(300_000)
+    asked = []
+
+    def upto(n):
+        asked.append(n)
+        return primes[: bisect_right(primes, n)]
+
+    monkeypatch.setattr(arith, "primes_upto", upto)
+    for count in range(6, 20_001):
+        assert first_primes(count) == primes[:count], count
+    assert len(asked) == 20_000 - 5 and max(asked) <= primes[-1]
+
+
+def test_budget_messages_give_a_long_count_by_its_digits():
+    assert arith._count(10**20 - 1) == "99999999999999999999"
+    for d in (21, 700, 5000):  # 5000 digits is past the int-to-str conversion limit
+        assert arith._count(10 ** (d - 1)) == arith._count(10**d - 1) == f"a {d}-digit number of"
+
+
 def test_small_primes_equal_the_numpy_sieve():
     # factorize's trial-division list is built without numpy
     assert arith._SMALL_PRIMES == primes_in_range(2, arith._TRIAL_BOUND)
@@ -309,7 +330,7 @@ def test_phi_of_prime_powers():
 def segment_values(n):
     """phi, omega and mu of every 0 <= m <= n from the segment helpers, over _segments(0, n)."""
     phi, w, mu = [], [], []
-    for _, _, marks, big in arith._segments(0, n):
+    for _, _, marks, big, _ in arith._segments(0, n):
         phi += arith._phi_segment(marks, big).tolist()
         w_seg, mu_seg = arith._omega_mobius_segment(marks, big)
         w += w_seg.tolist()
@@ -333,28 +354,17 @@ def test_tables_match_pointwise_functions(monkeypatch, seg):
         monkeypatch.setattr(arith, "DEFAULT_SEGMENT_SIZE", seg)
     for n in (1, 2, 3, 4, 2209, 3000):
         phi, w, mu = segment_values(n)
-        spf = spf_table(n)
-        assert len(phi) == len(w) == len(mu) == len(spf) == n + 1
-        assert (phi[0], w[0], spf[0]) == (0, 0, 0)
+        assert len(phi) == len(w) == len(mu) == n + 1
+        assert (phi[0], w[0]) == (0, 0)
         for m in range(1, n + 1):
             f = factorize(m)
             assert phi[m] == euler_phi(f), (n, m)
             assert w[m] == len(f.factors), (n, m)
             assert mu[m] == mobius(f.factors), (n, m)
-            assert spf[m] == (f.factors[0][0] if f.factors else 0), (n, m)
 
 
 def test_table_dtypes_are_narrow():
-    (_, _, marks, big), = arith._segments(0, 100)
+    (_, _, marks, big, _), = arith._segments(0, 100)
     w, mu = arith._omega_mobius_segment(marks, big)
     assert w.dtype == mu.dtype == np.int8
-    assert arith._phi_segment(marks, big).dtype == spf_table(100).dtype == np.int32
-
-
-@pytest.mark.parametrize("table", [spf_table])
-def test_tables_refuse_sizes_over_budget(table):
-    # refused before any allocation, so this allocates nothing
-    with pytest.raises(ResourceLimitError, match="budget"):
-        table(TABLE_BUDGET_BYTES)
-    with pytest.raises(ContractError):
-        table(-1)
+    assert arith._phi_segment(marks, big).dtype == np.int32

@@ -15,7 +15,7 @@ from primroot._kernel import (
     _int_mod,
     _pow_mod_batch,
 )
-from primroot.arith import factorize, is_prime, primes_upto, spf_table
+from primroot.arith import factorize, is_prime, primes_upto
 from primroot.errors import ContractError
 from primroot.roots import RootClass, _classify_unit, classify, least_roots
 from primroot.surveys import SurveyRow, _survey_block, fixed_g_density, stationary_survey
@@ -85,6 +85,24 @@ def test_kernel_refuses_primes_outside_its_domain():
         _batch_primes([3, BATCH_PRIME_LIMIT + 11])
 
 
+@pytest.mark.parametrize("gmax", [2, 3, 4, 48, 49, 50, 2209, 3000])
+def test_g_levels_order_the_composites_by_their_least_prime(gmax):
+    # 49 = 7^2 and 2209 = 47^2 sit on the isqrt(gmax) cut-off of the marking primes
+    spf, ell, levels = _kernel._g_levels.__wrapped__(gmax)
+    assert ell.tolist() == primes_upto(gmax)
+    level_of = {}
+    for i, level in enumerate(levels):
+        for n in level.tolist():
+            assert n not in level_of, n
+            level_of[n] = i
+    assert sorted(level_of) == [n for n in range(4, gmax + 1) if not is_prime(n)]
+    for n in range(2, gmax + 1):
+        assert spf[n] == factorize(n).factors[0][0], n
+    for n, i in level_of.items():
+        for part in (int(spf[n]), n // int(spf[n])):
+            assert is_prime(part) or level_of[part] < i, (n, part)
+
+
 @settings(max_examples=30, deadline=None)
 @given(x=st.integers(2, 3000), z=st.integers(2, 60))
 @example(x=2, z=2)  # p = 3 with 2z = 4 < 9
@@ -124,14 +142,10 @@ def test_fixed_g_density_past_a_block_with_no_prime():
     # the second segment of [3, x] starts at 3 + 2**20 = 7 * 149797; the next prime is 2**20 + 7
     x = 3 + arith.DEFAULT_SEGMENT_SIZE + 1
     assert not any(is_prime(n) for n in range(3 + arith.DEFAULT_SEGMENT_SIZE, x + 1))
-    spf = spf_table(x)
     hits = 0
     primes = primes_upto(x)
     for p in primes[1:]:
-        qs, m = set(), p - 1
-        while m > 1:
-            qs.add(int(spf[m]))
-            m //= int(spf[m])
-        hits += _classify_unit(2, p, sorted(qs)) is RootClass.STATIONARY
+        qs = [q for q, _ in factorize(p - 1).factors]
+        hits += _classify_unit(2, p, qs) is RootClass.STATIONARY
     rep = fixed_g_density(2, x)
     assert (rep.stationary_count, rep.prime_count) == (hits, len(primes))

@@ -236,6 +236,14 @@ def test_lift_enumerate_over_the_table_budget_exits_2_before_the_scan(capsys, p)
     assert elapsed < 0.5  # the scan for the roots mod 10**9 + 7 alone would take hours
 
 
+def test_lift_over_budget_at_a_high_level_says_how_many_digits(capsys):
+    # phi(phi(5**1001)) has 700 digits: the message gives their count, not the digits
+    rc, out, err = run_cli(capsys, "lift", "--p", "5", "--mode", "enumerate", "--k", "1000")
+    assert (rc, out) == (2, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert "a 700-digit number of lift roots" in err and err.endswith("-byte budget\n")
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])

@@ -299,8 +299,8 @@ def test_lift_enumerate_refuses_a_set_over_the_table_budget(monkeypatch):
     import primroot.arith as arith_mod
     from primroot.roots import LIFT_ROOT_BYTES
 
-    # the 8 roots mod 25, at LIFT_ROOT_BYTES each, plus the budget check's one spare entry
-    need = 9 * LIFT_ROOT_BYTES
+    # the 8 roots mod 25, at LIFT_ROOT_BYTES each
+    need = 8 * LIFT_ROOT_BYTES
     monkeypatch.setattr(arith_mod, "TABLE_BUDGET_BYTES", need)
     assert len(lift_enumerate(5, 1, [2, 3])) == 8
     monkeypatch.setattr(arith_mod, "TABLE_BUDGET_BYTES", need - 1)

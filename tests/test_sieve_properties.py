@@ -17,7 +17,6 @@ from primroot.arith import (
     prime_windows,
     primes_in_range,
     primes_upto,
-    spf_table,
 )
 from primroot.errors import ResourceLimitError
 from primroot.roots import RootClass, classify
@@ -49,16 +48,14 @@ def test_fixed_g_density_equals_classify_loop(g, x):
 @given(n=st.integers(0, 30_000), picks=st.lists(st.integers(0, 30_000), max_size=40))
 @example(n=2209, picks=[2209, 2208, 2162, 47 * 43, 46 * 47])
 def test_table_entries_equal_factorize(n, picks):
-    (_, _, marks, big), = arith._segments(0, n)  # one segment at the default size
+    (_, _, marks, big, _), = arith._segments(0, n)  # one segment at the default size
     phi = arith._phi_segment(marks, big)
     w, mu = arith._omega_mobius_segment(marks, big)
-    spf = spf_table(n)
     for m in {pick % (n + 1) for pick in picks} - {0}:
         f = factorize(m)
         assert phi[m] == euler_phi(f)
         assert w[m] == len(f.factors)
         assert mu[m] == mobius(f.factors)
-        assert spf[m] == (f.factors[0][0] if f.factors else 0)
 
 
 # hi at q^2 - 1, q^2 or q^2 + 1 for a prime q: where isqrt(hi) steps past q
