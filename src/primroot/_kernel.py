@@ -119,14 +119,14 @@ def _fill_multiplicative(table: np.ndarray, gmax: int, at_primes, combine) -> No
             table[:, n] = combine(table[:, s], table[:, n // s])
 
 
-def _count_roots_batch(primes, primes_p1, gmax: int) -> tuple[np.ndarray, np.ndarray]:
+def _count_roots_batch(primes, bounds, q, gmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Stationary and nonstationary counts over g in [2, gmax], per odd prime.
 
-    primes_p1[i] lists the distinct primes of primes[i] - 1, and gmax < p**2
-    for every p.  chi_q and Q_p are computed at the primes l <= gmax only and
-    filled in over the composites.  Tables hold int32 residues: Q_p for every
-    prime, and chi_q for at most KERNEL_CELLS // (gmax + 1) pairs (p, q) at a
-    time, each folded into a not-root flag before the next.
+    q[bounds[i] : bounds[i + 1]] lists the distinct primes of primes[i] - 1,
+    and gmax < p**2 for every p.  chi_q and Q_p are computed at the primes
+    l <= gmax only and filled in over the composites.  Tables hold int32
+    residues: Q_p for every prime, and chi_q for at most KERNEL_CELLS //
+    (gmax + 1) pairs (p, q) at a time, each folded into a not-root flag.
     """
     p = _batch_primes(primes)
     pc = p[:, None]
@@ -134,8 +134,7 @@ def _count_roots_batch(primes, primes_p1, gmax: int) -> tuple[np.ndarray, np.nda
     not_root = np.zeros((len(p), width), dtype=bool)
     for i in np.flatnonzero(p <= gmax):
         not_root[i, :: p[i]] = True  # p | g: not a unit
-    owner = np.repeat(np.arange(len(p)), [len(qs) for qs in primes_p1])
-    q = np.fromiter((q for qs in primes_p1 for q in qs), np.int64, len(owner))
+    owner = np.repeat(np.arange(len(p)), np.diff(bounds))
     rows = max(1, KERNEL_CELLS // width)
     for lo in range(0, len(owner), rows):
         own = owner[lo : lo + rows]
@@ -146,7 +145,8 @@ def _count_roots_batch(primes, primes_p1, gmax: int) -> tuple[np.ndarray, np.nda
             lambda ell: _pow_mod_batch(ell % pq, (pq - 1) // q[lo : lo + rows, None], pq),
             lambda a, b: a.astype(np.int64) * b % pq,
         )
-        np.logical_or.at(not_root, own, chi == 1)
+        starts = np.flatnonzero(np.diff(own, prepend=-1))  # own is sorted: one run per prime
+        not_root[own[starts]] |= np.logical_or.reduceat(chi == 1, starts)
     fq = np.zeros((len(p), width), dtype=np.int32)
     _fill_multiplicative(
         fq, gmax,
@@ -168,7 +168,7 @@ def _stationary_batch(u, primes, owner, q) -> np.ndarray:
     pp = p[owner]
     chi = _pow_mod_batch(u[owner], (pp - 1) // q, pp)
     not_root = u == 0
-    np.logical_or.at(not_root, owner, chi == 1)
+    not_root[owner[chi == 1]] = True
     roots = ~not_root
     stationary = np.zeros(len(p), dtype=bool)
     stationary[roots] = _fermat_quotient_batch(u[roots], p[roots]) != 0

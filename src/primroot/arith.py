@@ -163,17 +163,31 @@ def _sieve(n: int) -> bytearray:
     return flags
 
 
-def _check_table_budget(count: int, entry_bytes: int, unit: str) -> None:
-    """Refuse `count` entries of `unit`, entry_bytes each, over TABLE_BUDGET_BYTES."""
-    need = count * entry_bytes
-    if need > TABLE_BUDGET_BYTES:
-        raise ResourceLimitError(
-            f"{_count(count)} {unit} need {_count(need)} bytes, over the {TABLE_BUDGET_BYTES}-byte budget"
-        )
+def _check_table_budget(count: int, entry_bytes: int, unit: str, p: int = 1, e: int = 0) -> None:
+    """Refuse count * p**e entries of `unit`, entry_bytes each, over TABLE_BUDGET_BYTES.
+
+    A p**e with more bits than the budget is refused by its log2, unbuilt.
+    """
+    if e * math.log2(p) <= TABLE_BUDGET_BYTES.bit_length() and count * p**e * entry_bytes <= TABLE_BUDGET_BYTES:
+        return
+    raise ResourceLimitError(
+        f"{_count(count, p, e)} {unit} need {_count(count * entry_bytes, p, e)} bytes, "
+        f"over the {TABLE_BUDGET_BYTES}-byte budget"
+    )
 
 
-def _count(n: int) -> str:
-    """n for a message: its digits up to 20 of them, else how many digits it has."""
+def _count(n: int, p: int = 1, e: int = 0) -> str:
+    """n * p**e for a message: its digits up to 20 of them, else how many digits it has.
+
+    A p**e past 10**20 is never built: the digits are read off log10 of the
+    product, in decimal to 20 places, exact unless the product lies within a
+    relative 1e-20 of a power of ten.
+    """
+    if e * math.log10(p) > 20:
+        from decimal import Context
+        ctx = Context(prec=len(str(e)) + len(str(p)) + 20)
+        return f"a {int(ctx.add(ctx.log10(n), ctx.multiply(e, ctx.log10(p)))) + 1}-digit number of"
+    n *= p**e
     if n < 10**20:
         return str(n)
     digits = int(math.log10(n)) + 1  # the float estimate, then made exact
@@ -215,11 +229,17 @@ def _segments(lo: int, hi: int, cofactors: bool = True):
             for a, b, off in marks:  # the smooth part of each m ...
                 big[off::b] *= a
             np.floor_divide(np.arange(start, start + size, dtype=dtype), big, out=big)  # ... divided out
-        prime = np.ones(size, dtype=bool)
-        for p, q, off in marks:
-            if q == p:  # the multiples m + 1 of p from p*p on
-                prime[max((off - 1) % p, p * p - 1 - start) :: p] = False
-        yield start, size, marks, big, prime
+        yield start, size, marks, big, _prime_flags(start, size, marks)
+
+
+def _prime_flags(start: int, size: int, marks):
+    """_segments' prime flags, built in a call so that no frame of the walk holds them."""
+    import numpy as np
+    prime = np.ones(size, dtype=bool)
+    for p, q, off in marks:
+        if q == p:  # the multiples m + 1 of p from p*p on
+            prime[max((off - 1) % p, p * p - 1 - start) :: p] = False
+    return prime
 
 
 def _phi_segment(marks, big):

@@ -105,7 +105,7 @@ def _lift(ns) -> dict:
     p = ns.p
     if ns.mode == "enumerate":
         spec_p = CyclicGroupSpec.for_prime(p)
-        roots._lift_size(spec_p.raised(ns.k + 1))  # refuse a lift over budget before the scan
+        roots._lift_size(spec_p, ns.k + 1)  # refuse a lift over budget before the scan
         level = [g for g in range(1, p + 1) if roots.is_primitive_root(g, spec_p)]
         for lvl in range(1, ns.k + 1):
             level = roots.lift_enumerate(p, lvl, level)

@@ -14,9 +14,6 @@ from functools import lru_cache
 
 SCHEMA_VERSION = 1
 
-#: field metadata that keeps a field out of as_dict
-NOT_SERIALIZED = {"serialized": False}
-
 
 def as_dict(report) -> dict:
     """A dataclass as a JSON-ready dict: schema_version, then each field in order.
@@ -24,14 +21,14 @@ def as_dict(report) -> dict:
     A Fraction becomes a float; a dict keeps its order and has its keys
     turned into strings; a list or tuple becomes a list; a nested Report
     carries its own schema_version, and any other nested dataclass is its
-    plain fields.  Fields whose metadata is NOT_SERIALIZED are left out.
+    plain fields.
     """
     return _add_fields({"schema_version": SCHEMA_VERSION}, report)
 
 
 @lru_cache(maxsize=None)
 def _serialized_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls) if f.metadata.get("serialized", True))
+    return tuple(f.name for f in fields(cls))
 
 
 _SCALARS = (int, float, bool, str, type(None))

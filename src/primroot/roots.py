@@ -239,7 +239,7 @@ def lift_enumerate(p: int, k: int, roots_k: list[int]) -> list[int]:
     """
     spec_p = CyclicGroupSpec.for_prime(p)  # validates p
     spec_k = spec_p.raised(k)
-    expected = _lift_size(spec_p.raised(k + 1))
+    expected = _lift_size(spec_p, k + 1)
     pk = spec_k.modulus
     seen = set()
     found = []
@@ -261,15 +261,17 @@ def lift_enumerate(p: int, k: int, roots_k: list[int]) -> list[int]:
     return found
 
 
-def _lift_size(spec: CyclicGroupSpec) -> int:
-    """The number of primitive roots mod spec.modulus, phi of its group order.
+def _lift_size(spec_p: CyclicGroupSpec, k: int) -> int:
+    """phi(phi(p^k)) = p^(k-2) (p-1) phi(p-1), the primitive roots mod p^k, for k >= 2.
 
-    Raises ResourceLimitError when a list of that many roots, at
-    LIFT_ROOT_BYTES each, would pass the table budget.
+    spec_p is the spec of p.  Raises ResourceLimitError when a list of that
+    many roots, at LIFT_ROOT_BYTES each, would pass the table budget; p^(k-2)
+    is weighed by its log2 first, so a level far over the budget is never built.
     """
-    count = euler_phi(spec.order_factorization)
-    _check_table_budget(count, LIFT_ROOT_BYTES, "lift roots")
-    return count
+    p = spec_p.prime
+    count = (p - 1) * euler_phi(spec_p.order_factorization)
+    _check_table_budget(count, LIFT_ROOT_BYTES, "lift roots", p, k - 2)
+    return count * p ** (k - 2)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING
 
@@ -23,7 +23,7 @@ from .arith import (
 )
 from .errors import ContractError
 from .modmath import multiplicative_order
-from .report import NOT_SERIALIZED, Report
+from .report import Report
 from .roots import CyclicGroupSpec, LeastRoots, _least_roots
 
 if TYPE_CHECKING:  # fractions, and decimal with it, loads only in totient_ratio_sum
@@ -219,12 +219,6 @@ class SurveyRow(Report):
 SURVEY_COLUMNS = tuple(f.name for f in fields(SurveyRow))
 
 
-def _survey_row(z: int, n_s: int, n_n: int, least: LeastRoots) -> SurveyRow:
-    return SurveyRow(
-        p=least.p, z=z, n_pr=n_s + n_n, n_s=n_s, n_n=n_n, g=least.g, h=least.h, gs=least.gs
-    )
-
-
 @dataclass(frozen=True)
 class StationarySurveyReport(Report):
     x: int
@@ -241,20 +235,28 @@ class StationarySurveyReport(Report):
     nn_per_z2: float
 
 
-def _survey_block(block: tuple[list, list], z: int) -> list[SurveyRow]:
-    """The survey row of each prime of a block (primes, primes of each p-1), by the batch kernel."""
+def _least_block(block) -> list[LeastRoots]:
+    """The least roots of each prime of a block (p, bounds, q) of the window."""
+    p, bounds, q = block
+    cuts, qs = bounds.tolist(), q.tolist()
+    return [_least_roots(x, qs[a:b]) for x, a, b in zip(p.tolist(), cuts, cuts[1:])]
+
+
+def _survey_block(block, z: int) -> list[SurveyRow]:
+    """The survey row of each prime of a block, by the batch kernel."""
     from ._kernel import _count_roots_batch
     n_s, n_n = _count_roots_batch(*block, 2 * z)
-    return [_survey_row(z, int(s), int(n), r) for s, n, r in zip(n_s, n_n, map(_least_roots, *block))]
+    rows = zip(n_s.tolist(), n_n.tolist(), _least_block(block))
+    return [SurveyRow(p=r.p, z=z, n_pr=s + n, n_s=s, n_n=n, g=r.g, h=r.h, gs=r.gs) for s, n, r in rows]
 
 
-def _disagreements_block(block: tuple[list, list]) -> list[LeastRoots]:
+def _disagreements_block(block) -> list[LeastRoots]:
     """The least roots of the block's primes with g(p) != h(p)."""
-    return [r for r in map(_least_roots, *block) if r.g != r.h]
+    return [r for r in _least_block(block) if r.g != r.h]
 
 
-def _gs_block(block: tuple[list, list]) -> list[tuple[int, int]]:
-    return [(r.p, r.gs) for r in map(_least_roots, *block)]
+def _gs_block(block) -> list[tuple[int, int]]:
+    return [(r.p, r.gs) for r in _least_block(block)]
 
 
 def _require_workers(workers: int) -> None:
@@ -265,17 +267,16 @@ def _require_workers(workers: int) -> None:
 def _window_map(fn, window, size: int, workers: int, progress=None) -> list:
     """Concatenated fn(block) over the window in blocks of `size` primes, in order.
 
-    A block is (primes, primes of each p-1), as lists, built as it is
-    handed out.  progress(done, total) is called whenever the count of
-    primes done passes a multiple of PROGRESS_EVERY.
+    A block is a slice of the window's arrays, in the window's own form
+    (p, bounds, q) with bounds rebased to 0.  progress(done, total) is called
+    whenever the count of primes done passes a multiple of PROGRESS_EVERY.
     """
     p, bounds, q = window
 
     def blocks():
         for i in range(0, len(p), size):
-            cuts = bounds[i : i + size + 1].tolist()
-            qs = q[cuts[0] : cuts[-1]].tolist()
-            yield p[i : i + size].tolist(), [qs[a - cuts[0] : b - cuts[0]] for a, b in zip(cuts, cuts[1:])]
+            j = min(i + size, len(p))
+            yield p[i:j], bounds[i : j + 1] - bounds[i], q[bounds[i] : bounds[j]]
 
     if workers == 1:
         return _collect(map(fn, blocks()), size, len(p), progress)
@@ -543,8 +544,6 @@ class GsStatsReport(Report):
     mean_gs: float
     max_gs_over_log_p: float
     histogram: dict[int, int]
-    #: (p, gs) for every prime; kept out of as_dict
-    values: tuple[tuple[int, int], ...] = field(metadata=NOT_SERIALIZED)
 
 
 def least_gs_stats(x: int, workers: int = 1, progress=None) -> GsStatsReport:
@@ -553,7 +552,7 @@ def least_gs_stats(x: int, workers: int = 1, progress=None) -> GsStatsReport:
     if x < 3:
         raise ContractError(f"need x >= 3, got {x}")
     _require_workers(workers)
-    values = tuple(_window_map(_gs_block, _window(3, x), LEAST_ROOTS_BLOCK, workers, progress))
+    values = _window_map(_gs_block, _window(3, x), LEAST_ROOTS_BLOCK, workers, progress)
     hist = Counter(gs for _, gs in values)
     return GsStatsReport(
         x=x,
@@ -562,5 +561,4 @@ def least_gs_stats(x: int, workers: int = 1, progress=None) -> GsStatsReport:
         mean_gs=sum(gs for _, gs in values) / len(values),
         max_gs_over_log_p=max(gs / math.log(p) for p, gs in values),
         histogram=dict(sorted(hist.items())),
-        values=values,
     )

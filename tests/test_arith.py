@@ -1,5 +1,6 @@
 import math
 import random
+import weakref
 from bisect import bisect_right
 
 import numpy as np
@@ -226,6 +227,15 @@ def test_budget_messages_give_a_long_count_by_its_digits():
         assert arith._count(10 ** (d - 1)) == arith._count(10**d - 1) == f"a {d}-digit number of"
 
 
+def test_budget_messages_count_a_power_by_its_logarithm():
+    # past 10**20, p**e is never built; its digit count must equal the built number's.
+    # (5, 8) and (5, 352) are the lift roots mod 5^(e+2) and their bytes
+    for p, n in ((3, 1), (5, 8), (5, 352), (1009, 1008 * 288), (2147483647, 7)):
+        for e in (1, 5, 40, 41, 299, 300, 1000):
+            assert arith._count(n, p, e) == arith._count(n * p**e), (p, n, e)
+    assert arith._count(8, 5, 10**7 - 1) == "a 6989701-digit number of"
+
+
 def test_small_primes_equal_the_numpy_sieve():
     # factorize's trial-division list is built without numpy
     assert arith._SMALL_PRIMES == primes_in_range(2, arith._TRIAL_BOUND)
@@ -256,6 +266,22 @@ def test_base_primes_keep_the_table_budget(walk):
             walk(2**60, 2**60 + 10)
     lo = 10**12
     assert walk(lo, lo + 1000) == [m for m in range(lo, lo + 1001) if is_prime(m)]
+
+
+def test_prime_windows_frees_each_segments_flags(monkeypatch):
+    # once _window_segment returns, nothing of the walk holds that segment's prime flags
+    flags = []
+    window_segment = arith._window_segment
+
+    def spy(start, size, marks, big, prime):
+        flags.append(weakref.ref(prime))
+        return window_segment(start, size, marks, big, prime)
+
+    monkeypatch.setattr(arith, "_window_segment", spy)
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT_SIZE", 64)
+    for _ in arith.prime_windows(3, 1000):
+        assert flags[-1]() is None
+    assert len(flags) == 16
 
 
 def test_factorize_examples():

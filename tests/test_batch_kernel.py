@@ -27,9 +27,11 @@ SMALL_PRIMES = [p for p in primes_upto(5000) if p > 2]
 odd_primes = st.one_of(st.sampled_from(SMALL_PRIMES), st.sampled_from(TOP_PRIMES))
 
 
-def block(primes) -> tuple[list, list]:
-    """A _survey_block block: the primes, and the primes of each p - 1 from factorize."""
-    return list(primes), [[q for q, _ in factorize(p - 1).factors] for p in primes]
+def block(primes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A _survey_block block (p, bounds, q), with the primes of each p - 1 from factorize."""
+    qs = [[q for q, _ in factorize(p - 1).factors] for p in primes]
+    bounds = np.cumsum([0] + [len(f) for f in qs])
+    return np.array(primes, dtype=np.int64), bounds, np.array([q for f in qs for q in f], dtype=np.int64)
 
 
 def survey_row(p: int, z: int) -> SurveyRow:

@@ -244,6 +244,15 @@ def test_lift_over_budget_at_a_high_level_says_how_many_digits(capsys):
     assert "a 700-digit number of lift roots" in err and err.endswith("-byte budget\n")
 
 
+def test_lift_far_over_budget_is_refused_before_any_power_is_built(capsys):
+    # 5**(10**7) alone takes seconds to build; the refusal weighs it by its log2
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "lift", "--p", "5", "--mode", "enumerate", "--k", "10000000")
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert "a 6989701-digit number of lift roots" in err and err.endswith("-byte budget\n")
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])

@@ -11,12 +11,15 @@ from primroot.arith import (
     factorize,
     first_primes,
     is_prime,
+    primes_in_range,
     primes_upto,
 )
 from primroot.errors import ContractError, ResourceLimitError
 from primroot.report import SCHEMA_VERSION, render
+from primroot.roots import least_roots
 from primroot.surveys import (
     KNOWN_LEAST_ROOT_EXCEPTIONS,
+    GsStatsReport,
     SURVEY_COLUMNS,
     SurveyRow,
     density_constants,
@@ -417,14 +420,27 @@ def test_repetend_digits_value():
     assert repetend_digits(1, 7, 10) == [1, 4, 2, 8, 5, 7]
 
 
+def scalar_gs(x: int) -> list[tuple[int, int]]:
+    """(p, gs(p)) for every odd prime p <= x, by the scalar least_roots."""
+    return [(p, least_roots(p).gs) for p in primes_upto(x)[1:]]
+
+
+def scalar_gs_stats(x: int, values) -> GsStatsReport:
+    """least_gs_stats(x) computed from the (p, gs) pairs of scalar_gs(x)."""
+    gs = [g for _, g in values]
+    return GsStatsReport(
+        x=x,
+        count=len(gs),
+        max_gs=max(gs),
+        mean_gs=sum(gs) / len(gs),
+        max_gs_over_log_p=max(g / math.log(p) for p, g in values),
+        histogram={g: gs.count(g) for g in sorted(set(gs))},
+    )
+
+
 def test_least_gs_stats_small():
     rep = least_gs_stats(100)
-    from primroot.roots import least_roots
-
-    for p, gs in rep.values:
-        r = least_roots(p)
-        assert gs == r.gs
-    assert rep.max_gs == max(gs for _, gs in rep.values)
+    assert rep == scalar_gs_stats(100, scalar_gs(100))
     assert sum(rep.histogram.values()) == rep.count
 
 
@@ -436,10 +452,25 @@ def test_least_gs_stats_refuses_workers_below_1(workers):
 
 def test_least_gs_envelope():
     rep = least_gs_stats(1000)
-    for p, gs in rep.values:
+    values = scalar_gs(1000)
+    for p, gs in values:
         assert gs <= p ** 0.6 * math.log(p), (p, gs)
+    assert rep == scalar_gs_stats(1000, values)
     assert rep.mean_gs > 0
     assert rep.max_gs_over_log_p > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_least_root_scans_over_small_blocks_and_segments(monkeypatch, workers):
+    # blocks of 3 primes cut across segments of 64: every block's bounds are rebased
+    monkeypatch.setattr(surveys, "LEAST_ROOTS_BLOCK", 3)
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT_SIZE", 64)
+    x = 20300  # the window [x, 2x] holds 40487, whose g and h differ
+    want = [r for r in map(least_roots, primes_in_range(x, 2 * x)) if r.g != r.h]
+    rep = least_root_agreement(x, workers=workers)
+    assert rep.exceptions == tuple(want) and [r.p for r in want] == [40487]
+    assert rep.n_agree + rep.n_disagree == len(primes_in_range(x, 2 * x))
+    assert least_gs_stats(3000, workers=workers) == scalar_gs_stats(3000, scalar_gs(3000))
 
 
 def test_least_gs_stats_1e5_report():
