@@ -55,6 +55,12 @@ DEFAULT_SEGMENT_SIZE = 1 << 20  # integers per sieve segment
 DEFAULT_MAX_SPAN = 1 << 28  # widest [lo, hi] any sieve walk accepts
 # Bytes a bulk table's entries may take: int32 entries over the widest span.
 TABLE_BUDGET_BYTES = 4 * DEFAULT_MAX_SPAN
+# Peak bytes per mark of a walk: the base prime's int in base, its (p, q)
+# tuple, its entry of q_arr and one segment's (p, q, off) tuple with its
+# temporaries.  ru_maxrss growth over a 1001-integer walk at 1e12 and 1e13
+# (2-core x86-64) was 257 and 253 per base prime for primes_in_range (one
+# mark each), and 243 and 241 per mark for prime_windows (two marks each).
+BASE_MARK_BYTES = 288
 
 
 @dataclass(frozen=True)
@@ -148,9 +154,9 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # Sieves: one bytearray sieve (the segmented sieve's base primes, factorize's
 # trial primes, short prime lists), the one segmented sieve and what is built
-# on it.  Each walk checks its base-prime flags against TABLE_BUDGET_BYTES
-# before it allocates anything.  numpy is imported by the functions that use
-# it, so importing this module never loads it.
+# on it.  Each walk charges its base primes and their flags against
+# TABLE_BUDGET_BYTES before it allocates anything.  numpy is imported by the
+# functions that use it, so importing this module never loads it.
 
 
 def _sieve(n: int) -> bytearray:
@@ -211,7 +217,11 @@ def _segments(lo: int, hi: int, cofactors: bool = True):
     import numpy as np
     if hi - lo > DEFAULT_MAX_SPAN:
         raise ResourceLimitError(f"range width {hi - lo} exceeds budget {DEFAULT_MAX_SPAN}")
-    _check_table_budget(math.isqrt(hi + 1) + 1, 1, "base-prime flags")
+    if (need := _walk_bytes(hi, cofactors)) > TABLE_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"the base primes up to {math.isqrt(hi + 1)} and their flags need {_count(need)} bytes, "
+            f"over the {TABLE_BUDGET_BYTES}-byte budget"
+        )
     base = np.flatnonzero(np.frombuffer(_sieve(math.isqrt(hi + 1)), dtype=bool)).tolist()
     top = int(hi).bit_length() if cofactors else 2  # p**k <= hi needs k < its bit length
     pq = [(p, p**k) for p in base for k in range(1, top) if p**k <= hi]
@@ -230,6 +240,20 @@ def _segments(lo: int, hi: int, cofactors: bool = True):
                 big[off::b] *= a
             np.floor_divide(np.arange(start, start + size, dtype=dtype), big, out=big)  # ... divided out
         yield start, size, marks, big, _prime_flags(start, size, marks)
+
+
+def _walk_bytes(hi: int, cofactors: bool) -> int:
+    """What _segments(lo, hi, cofactors) charges against the budget before it allocates.
+
+    _sieve's flags up to r = isqrt(hi + 1) peak at 1.5 bytes an integer, with
+    the temporary that crosses off the multiples of 2.  Each base prime has
+    one mark, two with cofactors (p**2 <= hi for every base prime; the higher
+    powers of the few smallest ride in the measured cost), and there are
+    fewer than 1.25506 r / ln r of them (Rosser and Schoenfeld, 1962).
+    """
+    r = math.isqrt(hi + 1)
+    primes = r * 125506 // int(100000 * math.log(r)) + 1 if r > 1 else 0
+    return 3 * (r + 1) // 2 + primes * (2 if cofactors else 1) * BASE_MARK_BYTES
 
 
 def _prime_flags(start: int, size: int, marks):
@@ -307,9 +331,10 @@ def _window_segment(start: int, size: int, marks, big, prime):
     at = np.flatnonzero(prime)  # m = start + at[k] is p - 1 for the k-th prime
     owners, qs = [], []
     for p, q, off in marks:
-        if q == p:
-            owners.append(np.searchsorted(at, off + p * np.flatnonzero(prime[off::p])))
-            qs.append(np.full(len(owners[-1]), p, dtype=big.dtype))
+        # a p whose multiples hold no prime keeps no arrays: most of them, at high hi
+        if q == p and len(hits := np.flatnonzero(prime[off::p])):
+            owners.append(np.searchsorted(at, off + p * hits))
+            qs.append(np.full(len(hits), p, dtype=big.dtype))
     cofactor = big[at]
     owners.append(np.flatnonzero(cofactor > 1))
     qs.append(cofactor[owners[-1]])

@@ -23,7 +23,7 @@ from .arith import (
     factorize,
     is_prime,
 )
-from .errors import ContractError
+from .errors import ContractError, ResourceLimitError
 from .modmath import inv_mod, multiplicative_order
 
 # Entries kept by each per-prime memo: for_prime's specs and with_generator's
@@ -35,6 +35,11 @@ SPEC_CACHE_SIZE = 1024
 # set of inputs and the sort.  tracemalloc measured 40 held and 44 at peak,
 # for p = 1009 at k = 1 and p = 101 at k = 2.
 LIFT_ROOT_BYTES = 44
+# Bits of the top modulus p^kmax that lift_pair_check accepts.  On a 2-core
+# x86-64 host it took, at about 256 / 512 / 768 / 1024 bits: 0.07 / 0.54 /
+# 2.0 / 5.5 s for p = 3, 0.05 / 0.32 / 1.2 / 3.3 s for p = 43 and at most
+# 0.02 / 0.13 / 0.46 / 1.1 s for p = 1000003 and 2**31 - 1.
+LIFT_PAIR_BITS = 512
 
 
 class RootClass(Enum):
@@ -74,11 +79,11 @@ class CyclicGroupSpec:
             doubled = True
             if m % 2 == 0:
                 raise ContractError(f"{n} does not have a cyclic unit group")
-        fac = factorize(m)
-        if len(fac.factors) != 1:
-            raise ContractError(f"{n} does not have a cyclic unit group")
-        p, k = fac.factors[0]
-        return cls.for_prime(p).raised(k, doubled)
+        for k in range(1, m.bit_length()):  # m = r**k with r >= 3 needs k < m's bit length
+            r = _integer_root(m, k)
+            if r**k == m and is_prime(r):
+                return cls.for_prime(r).raised(k, doubled)
+        raise ContractError(f"{n} does not have a cyclic unit group")
 
     @classmethod
     @lru_cache(maxsize=SPEC_CACHE_SIZE, typed=True)
@@ -116,6 +121,16 @@ class CyclicGroupSpec:
         if self.generator is not None:
             return self
         return _with_least_generator(self)
+
+
+def _integer_root(m: int, k: int) -> int:
+    """The largest r with r**k <= m, for m >= 1: isqrt, or Newton's method from above."""
+    if k == 2:
+        return math.isqrt(m)
+    r = 1 << -(-m.bit_length() // k)  # 2**ceil(bits / k) > m**(1/k)
+    while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+        r = s
+    return r
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
@@ -308,9 +323,16 @@ def lift_pair_check(root: int, p: int, kmax: int) -> LiftPairReport:
     {tau, tau^{-1} mod p} generates mod p^k, for each k <= kmax.
 
     At least one member of each pair is expected to succeed at every level;
-    a False pair in the report would be a genuine counterexample.
+    a False pair in the report would be a genuine counterexample.  A p^kmax
+    of more than LIFT_PAIR_BITS bits is refused by its log2, before any power
+    of p is built.
     """
     spec_p = CyclicGroupSpec.for_prime(p)
+    bits = int(kmax * math.log2(p)) + 1
+    if bits > LIFT_PAIR_BITS:
+        raise ResourceLimitError(
+            f"lift pairs up to {p}^{kmax} need a {bits}-bit modulus, over the {LIFT_PAIR_BITS}-bit budget"
+        )
     if not is_primitive_root(root, spec_p):
         raise ContractError(f"{root} is not a primitive root mod {p}")
     inverse = inv_mod(root, p)

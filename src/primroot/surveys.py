@@ -29,13 +29,12 @@ from .roots import CyclicGroupSpec, LeastRoots, _least_roots
 if TYPE_CHECKING:  # fractions, and decimal with it, loads only in totient_ratio_sum
     from fractions import Fraction
 
-SURVEY_BLOCK_CELLS = 1 << 14  # at most this many (p, g) pairs per stationary_survey block
+SURVEY_BLOCK_CELLS = 1 << 14  # at most this many (p, g) pairs per block of a window scan
 # Peak bytes per g in one worker of stationary_survey: the cached g tables
 # (8), an int32 Fermat quotient and Lucas residue row, a not-root flag and
 # temporaries.  tracemalloc measured 24.0 at 2z = 2e6 and 6e6 and 28.6 at
 # 2z = 2e4, for one prime with nine primes in p-1 (the most below 2**29).
 SURVEY_CELL_BYTES = 32
-LEAST_ROOTS_BLOCK = 16  # primes per task in the least-root scans
 PROGRESS_EVERY = 256  # rows between progress reports
 TOTIENT_SLICE = 1 << 14  # primes per list handed to the totient sums
 
@@ -264,26 +263,27 @@ def _require_workers(workers: int) -> None:
         raise ContractError(f"workers must be >= 1, got {workers}")
 
 
-def _window_map(fn, window, size: int, workers: int, progress=None) -> list:
-    """Concatenated fn(block) over the window in blocks of `size` primes, in order.
+def _window_map(fn, window, cells: int, workers: int, progress=None) -> list:
+    """Concatenated fn(block) over the window, whose primes cost `cells` (p, g) pairs each, in order.
 
     A block is a slice of the window's arrays, in the window's own form
     (p, bounds, q) with bounds rebased to 0.  progress(done, total) is called
     whenever the count of primes done passes a multiple of PROGRESS_EVERY.
+    A block holds PROGRESS_EVERY primes, or the largest power of two of them
+    whose pairs fit SURVEY_BLOCK_CELLS if that is fewer, so block ends fall
+    on its multiples.  The pool gets at most one process per block.
     """
     p, bounds, q = window
-
-    def blocks():
-        for i in range(0, len(p), size):
-            j = min(i + size, len(p))
-            yield p[i:j], bounds[i : j + 1] - bounds[i], q[bounds[i] : bounds[j]]
-
+    size = min(PROGRESS_EVERY, 1 << (max(1, SURVEY_BLOCK_CELLS // cells).bit_length() - 1))
+    cuts = [*range(0, len(p), size), len(p)]
+    blocks = ((p[i:j], bounds[i : j + 1] - bounds[i], q[bounds[i] : bounds[j]]) for i, j in zip(cuts, cuts[1:]))
+    workers = min(workers, len(cuts) - 1)
     if workers == 1:
-        return _collect(map(fn, blocks()), size, len(p), progress)
+        return _collect(map(fn, blocks), size, len(p), progress)
     import multiprocessing
 
     with multiprocessing.Pool(workers) as pool:
-        return _collect(pool.imap(fn, blocks()), size, len(p), progress)
+        return _collect(pool.imap(fn, blocks), size, len(p), progress)
 
 
 def _collect(results, size: int, total: int, progress) -> list:
@@ -317,10 +317,8 @@ def stationary_survey(
         raise ContractError(f"no odd primes in [{x}, {2 * x}]")
     if 2 * z >= int(window[0][0]) ** 2:
         raise ContractError(f"2z = {2 * z} reaches p^2 for p = {window[0][0]}")
-    # a power of two up to PROGRESS_EVERY, so that block ends fall on its multiples
-    per_block = min(PROGRESS_EVERY, 1 << (max(1, SURVEY_BLOCK_CELLS // (2 * z)).bit_length() - 1))
     try:
-        rows = _window_map(partial(_survey_block, z=z), window, per_block, workers, progress)
+        rows = _window_map(partial(_survey_block, z=z), window, 2 * z, workers, progress)
     finally:
         _g_levels.cache_clear()  # the g tables of this z are not needed again
     n_s = sum(r.n_s for r in rows)
@@ -361,7 +359,7 @@ def least_root_agreement(x: int, workers: int = 1, progress=None) -> AgreementRe
         raise ContractError(f"need x >= 2, got {x}")
     _require_workers(workers)
     window = _window(x, 2 * x)
-    exceptions = tuple(_window_map(_disagreements_block, window, LEAST_ROOTS_BLOCK, workers, progress))
+    exceptions = tuple(_window_map(_disagreements_block, window, 1, workers, progress))
     return AgreementReport(
         x=x,
         n_agree=len(window[0]) - len(exceptions),
@@ -552,7 +550,7 @@ def least_gs_stats(x: int, workers: int = 1, progress=None) -> GsStatsReport:
     if x < 3:
         raise ContractError(f"need x >= 3, got {x}")
     _require_workers(workers)
-    values = _window_map(_gs_block, _window(3, x), LEAST_ROOTS_BLOCK, workers, progress)
+    values = _window_map(_gs_block, _window(3, x), 1, workers, progress)
     hist = Counter(gs for _, gs in values)
     return GsStatsReport(
         x=x,

@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import weakref
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,6 +270,52 @@ def test_base_primes_keep_the_table_budget(walk):
             walk(2**60, 2**60 + 10)
     lo = 10**12
     assert walk(lo, lo + 1000) == [m for m in range(lo, lo + 1001) if is_prime(m)]
+
+
+def test_a_walk_whose_base_primes_pass_the_budget_is_refused_unsieved(monkeypatch):
+    # isqrt(2**60 - 2) = 2**30 - 1: the flags alone fit the 2**30-byte budget,
+    # but not with the crossing-off temporary and the base primes' marks
+    def no_sieve(n):
+        raise AssertionError(f"sieved up to {n}")
+
+    monkeypatch.setattr(arith, "_sieve", no_sieve)
+    refused = r"^the base primes up to 1073741823 and their flags need \d+ bytes"
+    with pytest.raises(ResourceLimitError, match=refused):
+        primes_in_range(2**60 - 12, 2**60 - 2)
+    assert math.isqrt(2**60 - 2) + 1 <= arith.TABLE_BUDGET_BYTES
+
+
+WALK_RSS = """
+import resource, sys
+import numpy
+from primroot import arith
+lo = 10**13
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+if sys.argv[1] == "range":
+    arith.primes_in_range(lo, lo + 1000)
+else:
+    for _ in arith.prime_windows(lo, lo + 1000):
+        pass
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024)
+"""
+
+
+@pytest.mark.parametrize("walk, cofactors", [("range", False), ("windows", True)])
+def test_a_walk_stays_inside_its_charge(walk, cofactors):
+    # in a fresh interpreter with numpy loaded, the peak RSS that a walk over
+    # m in [1e13 - 1, 1e13 + 999] adds stays below what _segments charged for
+    # it (ru_maxrss counts KiB on Linux).  Linux carries ru_maxrss across
+    # execve from the process that execs, so a small interpreter in between
+    # keeps this test process's own peak out of the reading.
+    env = {**os.environ, "PYTHONPATH": str(Path(arith.__file__).parents[1])}
+    relay = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", relay, sys.executable, "-c", WALK_RSS, walk],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    grown = int(done.stdout.split()[-1])
+    charged = arith._walk_bytes(10**13 + 999, cofactors)
+    assert 0 < grown < charged, (grown, charged)
 
 
 def test_prime_windows_frees_each_segments_flags(monkeypatch):

@@ -253,6 +253,25 @@ def test_lift_far_over_budget_is_refused_before_any_power_is_built(capsys):
     assert "a 6989701-digit number of lift roots" in err and err.endswith("-byte budget\n")
 
 
+def test_lift_pairs_past_the_bit_budget_is_refused_at_once(capsys):
+    # 1000003**3000 has 59795 bits; checking its levels would run for hours
+    start = time.perf_counter()
+    argv = ["lift", "--p", "1000003", "--tau", "2", "--mode", "pairs", "--kmax", "3000"]
+    rc, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert "59795-bit modulus" in err and err.endswith("over the 512-bit budget\n")
+
+
+def test_a_large_modulus_that_is_no_prime_power_is_refused_at_once(capsys):
+    # a 39-digit semiprime: refused by integer roots, never handed to rho
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "order", "--a", "2", "--n", "300000000000000001940000000000000002091")
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert err == "error: 300000000000000001940000000000000002091 does not have a cyclic unit group\n"
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])

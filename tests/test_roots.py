@@ -39,6 +39,44 @@ def test_spec_validation():
     assert CyclicGroupSpec.for_modulus(41).group_order == 40
 
 
+def factorized_spec(n):
+    """for_modulus by factoring n: the spec of p^k or 2p^k, or None where its unit group is not cyclic."""
+    m, doubled = (n // 2, True) if n % 2 == 0 else (n, False)
+    factors = factorize(m).factors
+    if m % 2 == 0 or len(factors) != 1:
+        return None
+    p, k = factors[0]
+    return CyclicGroupSpec.for_prime(p).raised(k, doubled)
+
+
+def test_for_modulus_matches_factorization():
+    for n in range(3, 5001):
+        want = factorized_spec(n)
+        if want is None:
+            with pytest.raises(ContractError, match=f"^{n} does not have a cyclic unit group$"):
+                CyclicGroupSpec.for_modulus(n)
+        else:
+            assert CyclicGroupSpec.for_modulus(n) == want, n
+
+
+def test_for_modulus_finds_large_prime_powers_without_factoring(monkeypatch):
+    import primroot.roots as roots_mod
+
+    p = 2**61 - 1
+    for k, doubled in ((1, False), (2, True), (3, False), (7, True)):
+        spec = CyclicGroupSpec.for_modulus((2 if doubled else 1) * p**k)
+        assert (spec.prime, spec.power, spec.doubled) == (p, k, doubled)
+    for root, k in ((3, 40), (5, 3), (3**20 + 2, 5)):  # 3**20 + 2 = 5 * 697372691
+        assert roots_mod._integer_root(root**k, k) == root
+        assert roots_mod._integer_root(root**k - 1, k) == root - 1
+    # a semiprime, a prime times a cube and an odd power of a composite are
+    # refused with no factorization
+    monkeypatch.setattr(roots_mod, "factorize", None)
+    for n in (300000000000000001940000000000000002091, 3 * 5**21, 15**7, 2 * 9**11 * 7):
+        with pytest.raises(ContractError, match="does not have a cyclic unit group"):
+            CyclicGroupSpec.for_modulus(n)
+
+
 def test_with_generator_finds_least():
     spec = CyclicGroupSpec.for_prime(41).with_generator()
     assert spec.generator == 6
@@ -335,6 +373,18 @@ def test_lift_enumerate_tests_each_input_root_once(monkeypatch, k):
     monkeypatch.setattr(roots_mod, "is_primitive_root", counting_is_primitive_root)
     lift_enumerate(59, k, roots_k)
     assert moduli == [59**k] * len(roots_k)
+
+
+def test_lift_pair_check_refuses_a_top_modulus_past_the_bit_budget(monkeypatch):
+    import primroot.roots as roots_mod
+
+    # 3**323 has 512 bits, 3**324 has 514: the first is checked, the second refused unbuilt
+    assert lift_pair_check(2, 3, 323).all_pairs_ok
+    monkeypatch.setattr(CyclicGroupSpec, "raised", None)
+    refused = r"^lift pairs up to 3\^324 need a 514-bit modulus, over the 512-bit budget$"
+    with pytest.raises(ResourceLimitError, match=refused):
+        lift_pair_check(2, 3, 324)
+    assert roots_mod.LIFT_PAIR_BITS == 512
 
 
 def test_lift_pair_check():

@@ -145,27 +145,21 @@ def test_readme_cli_block_names_each_command_once():
     assert sorted(re.findall(r"^primroot ([\w-]+)", block, re.M)) == sorted(COMMANDS)
 
 
-def p_minus_1_factorizations(node, scope=()):
-    """Qualified name of the function around each call factorize(x - 1) under node."""
+def factorize_calls(node, scope=()):
+    """(qualified name of the function around it, its argument) of each call to factorize under node."""
     for child in ast.iter_child_nodes(node):
-        if (
-            isinstance(child, ast.Call)
-            and ast.unparse(child.func).split(".")[-1] == "factorize"
-            and len(child.args) == 1
-            and isinstance(child.args[0], ast.BinOp)
-            and isinstance(child.args[0].op, ast.Sub)
-            and ast.unparse(child.args[0].right) == "1"
-        ):
-            yield ".".join(scope)
+        if isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1] == "factorize":
+            yield ".".join(scope), ast.unparse(child.args[0]) if len(child.args) == 1 else None
         named = isinstance(child, DEFINITIONS)
-        yield from p_minus_1_factorizations(child, scope + (child.name,) if named else scope)
+        yield from factorize_calls(child, scope + (child.name,) if named else scope)
 
 
 def test_only_for_prime_factors_p_minus_1():
     # every path to a prime's group goes through CyclicGroupSpec.for_prime,
-    # which proves p and factors p - 1 once
-    found = [f"{name}:{where}" for name, tree in modules() for where in p_minus_1_factorizations(tree)]
-    assert found == ["roots.py:CyclicGroupSpec.for_prime"]
+    # which proves p and factors p - 1 once; factorize has no other caller,
+    # so no modulus a user gives is ever factored
+    found = [f"{name}:{where}({arg})" for name, tree in modules() for where, arg in factorize_calls(tree)]
+    assert found == ["roots.py:CyclicGroupSpec.for_prime(p - 1)"]
 
 
 def output_format_uses(tree):

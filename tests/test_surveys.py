@@ -463,7 +463,7 @@ def test_least_gs_envelope():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_least_root_scans_over_small_blocks_and_segments(monkeypatch, workers):
     # blocks of 3 primes cut across segments of 64: every block's bounds are rebased
-    monkeypatch.setattr(surveys, "LEAST_ROOTS_BLOCK", 3)
+    monkeypatch.setattr(surveys, "PROGRESS_EVERY", 3)
     monkeypatch.setattr(arith, "DEFAULT_SEGMENT_SIZE", 64)
     x = 20300  # the window [x, 2x] holds 40487, whose g and h differ
     want = [r for r in map(least_roots, primes_in_range(x, 2 * x)) if r.g != r.h]
@@ -471,6 +471,31 @@ def test_least_root_scans_over_small_blocks_and_segments(monkeypatch, workers):
     assert rep.exceptions == tuple(want) and [r.p for r in want] == [40487]
     assert rep.n_agree + rep.n_disagree == len(primes_in_range(x, 2 * x))
     assert least_gs_stats(3000, workers=workers) == scalar_gs_stats(3000, scalar_gs(3000))
+
+
+def test_one_block_starts_no_pool(monkeypatch):
+    # [1000, 2000] holds 135 primes and [3, 1000] 167: one block of 256 for the
+    # least-root scans and for a survey with z = 20, so workers 2 runs in-process
+    import multiprocessing
+
+    want = least_root_agreement(1000), least_gs_stats(1000), stationary_survey(1000, 20)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for one block")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    got = least_root_agreement(1000, 2), least_gs_stats(1000, 2), stationary_survey(1000, 20, 2)
+    assert got == want
+
+
+def test_workers_under_spawn_equal_one_worker(monkeypatch):
+    # a spawned worker gets the block function and its block by pickle alone;
+    # the agreement window holds 8 blocks and the survey's (z = 50) 3
+    import multiprocessing
+
+    want = least_root_agreement(20300), stationary_survey(3000, 50)
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
+    assert (least_root_agreement(20300, 2), stationary_survey(3000, 50, 2)) == want
 
 
 def test_least_gs_stats_1e5_report():
