@@ -25,8 +25,7 @@ from .arith import prime_windows, primes_upto
 from .errors import ContractError
 
 BATCH_PRIME_LIMIT = 1 << 31
-KERNEL_CELLS = 1 << 15  # (p, q, g) Lucas residues held at once by _count_roots_batch
-KERNEL_CHUNK = 1 << 16  # columns g per numpy pass of _count_roots_batch
+KERNEL_CELLS = 1 << 15  # the one cell bound of a survey: per window block, per numpy pass
 
 
 def _batch_primes(primes) -> np.ndarray:
@@ -74,8 +73,8 @@ def _fermat_quotient_batch(a, p) -> np.ndarray:
     return r1  # a**(p-1) = 1 + p*Q_p(a) mod p^2
 
 
-def _chunks(a: np.ndarray):
-    return (a[i : i + KERNEL_CHUNK] for i in range(0, len(a), KERNEL_CHUNK))
+def _chunks(a: np.ndarray, size: int):
+    return (a[i : i + size] for i in range(0, len(a), size))
 
 
 @lru_cache(maxsize=1)
@@ -83,38 +82,36 @@ def _g_levels(gmax: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]
     """(spf, ell, levels) over g in [0, gmax]: what _count_roots_batch needs of g.
 
     spf[g] is the least prime factor of g >= 2, and ell the primes <= gmax.
-    levels[i] holds the composites with i + 2 prime factors, counted with
-    multiplicity, so that spf[g] and g // spf[g] are prime or in an earlier
-    level.  Cached so that every block of a survey shares one build.
+    levels[k - 2] holds the composites of [2**k, 2**(k+1)): spf[g] <= sqrt(g)
+    and g // spf[g] <= g / 2 are prime or in an earlier level.  Cached so
+    that every block of a survey shares one build.
     """
     g = np.arange(gmax + 1, dtype=np.int32)
     spf = g.copy()  # left as is at the primes, and at 0 and 1
     for p in reversed(primes_upto(math.isqrt(gmax))):  # largest first, so the smallest stays
         spf[p * p :: p] = p
-    ready = spf == g  # the primes, and 0 and 1, which no composite needs
-    ell = np.flatnonzero(ready[2:]).astype(np.int32) + 2
-    cof = g // np.maximum(spf, 1)
-    levels = []
-    while not ready.all():
-        n = np.flatnonzero(~ready & ready[cof]).astype(np.int32)
-        ready[n] = True
-        levels.append(n)
+    prime = spf == g  # and 0 and 1, which no level reaches
+    ell = np.flatnonzero(prime[2:]).astype(np.int32) + 2
+    levels = tuple(
+        np.flatnonzero(~prime[1 << k : 2 << k]).astype(np.int32) + (1 << k) for k in range(2, gmax.bit_length())
+    )
     for a in (spf, ell, *levels):
         a.setflags(write=False)  # shared through the cache
-    return spf, ell, tuple(levels)
+    return spf, ell, levels
 
 
 def _fill_multiplicative(table: np.ndarray, gmax: int, at_primes, combine) -> None:
     """table[:, g] for g in [2, gmax] from the columns at primes.
 
-    at_primes(ell) gives the columns at primes ell; combine(a, b) the column
-    at g = s * c from those at s = spf(g) and c.  KERNEL_CHUNK columns a pass.
+    at_primes(ell) gives the columns at primes ell; combine(a, b) the column at
+    g = s * c from those at s = spf(g) and c, KERNEL_CELLS cells a pass.
     """
     spf, ell, levels = _g_levels(gmax)
-    for cols in _chunks(ell):
+    size = max(1, KERNEL_CELLS // len(table))
+    for cols in _chunks(ell, size):
         table[:, cols] = at_primes(cols)
     for level in levels:
-        for n in _chunks(level):
+        for n in _chunks(level, size):
             s = spf[n]
             table[:, n] = combine(table[:, s], table[:, n // s])
 

@@ -8,6 +8,8 @@ periods.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
@@ -15,13 +17,14 @@ from typing import TYPE_CHECKING
 
 from .arith import (
     _check_table_budget,
+    _digits,
     _omega_mobius_segment,
     _phi_segment,
     _segments,
     first_primes,
     prime_windows,
 )
-from .errors import ContractError
+from .errors import ContractError, ResourceLimitError
 from .modmath import multiplicative_order
 from .report import Report
 from .roots import CyclicGroupSpec, LeastRoots, _least_roots
@@ -29,11 +32,12 @@ from .roots import CyclicGroupSpec, LeastRoots, _least_roots
 if TYPE_CHECKING:  # fractions, and decimal with it, loads only in totient_ratio_sum
     from fractions import Fraction
 
-SURVEY_BLOCK_CELLS = 1 << 14  # at most this many (p, g) pairs per block of a window scan
 # Peak bytes per g in one worker of stationary_survey: the cached g tables
 # (8), an int32 Fermat quotient and Lucas residue row, a not-root flag and
-# temporaries.  tracemalloc measured 24.0 at 2z = 2e6 and 6e6 and 28.6 at
-# 2z = 2e4, for one prime with nine primes in p-1 (the most below 2**29).
+# temporaries.  tracemalloc measured 30.6 at 2z = 2e4, 21.5 at 2e6 and 20.3
+# at 6e6, for one prime with nine primes in p-1 (the most below 2**29).
+# Below 2z = 1.8e4 one fill pass of up to KERNEL_CELLS cells takes more per g
+# (56 at 2z = 1e4), but under 1 MB in all.
 SURVEY_CELL_BYTES = 32
 PROGRESS_EVERY = 256  # rows between progress reports
 TOTIENT_SLICE = 1 << 14  # primes per list handed to the totient sums
@@ -270,14 +274,15 @@ def _window_map(fn, window, cells: int, workers: int, progress=None) -> list:
     (p, bounds, q) with bounds rebased to 0.  progress(done, total) is called
     whenever the count of primes done passes a multiple of PROGRESS_EVERY.
     A block holds PROGRESS_EVERY primes, or the largest power of two of them
-    whose pairs fit SURVEY_BLOCK_CELLS if that is fewer, so block ends fall
-    on its multiples.  The pool gets at most one process per block.
+    whose pairs fit KERNEL_CELLS if that is fewer, so block ends fall on its
+    multiples.  The pool gets at most one process per block and per CPU.
     """
+    from ._kernel import KERNEL_CELLS
     p, bounds, q = window
-    size = min(PROGRESS_EVERY, 1 << (max(1, SURVEY_BLOCK_CELLS // cells).bit_length() - 1))
+    size = min(PROGRESS_EVERY, 1 << (max(1, KERNEL_CELLS // cells).bit_length() - 1))
     cuts = [*range(0, len(p), size), len(p)]
     blocks = ((p[i:j], bounds[i : j + 1] - bounds[i], q[bounds[i] : bounds[j]]) for i, j in zip(cuts, cuts[1:]))
-    workers = min(workers, len(cuts) - 1)
+    workers = min(workers, len(cuts) - 1, os.cpu_count() or 1)
     if workers == 1:
         return _collect(map(fn, blocks), size, len(p), progress)
     import multiprocessing
@@ -500,32 +505,61 @@ def repetend_digits(numerator: int, modulus: int, base: int) -> list[int]:
 def period(base: int, p: int, k: int) -> PeriodResult:
     """Period of the base-`base` expansion of 1/p^k.
 
-    The period is the multiplicative order of the base mod p^k; it is
-    maximal exactly when it reaches p^(k-1)(p-1).  While p^k stays small the
-    repetend is also produced by long division and its length is checked
-    against the order.
+    The period is the multiplicative order of the base mod p^k.  By lifting
+    the exponent it is t * p^(k - v), for t the order mod p and v =
+    v_p(base^t - 1) capped at k.  It is maximal, p^(k-1)(p-1), exactly when
+    t = p - 1 and v = 1.  A period with more digits than the interpreter
+    converts to a string is refused before it is built.  While p^k stays
+    small the repetend is also produced by long division and its length is
+    checked against the period.
     """
     if base < 2:
         raise ContractError(f"base must be >= 2, got {base}")
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    spec = CyclicGroupSpec.for_prime_power(p, k)  # validates p
+    spec = CyclicGroupSpec.for_prime(p)  # validates p
     if base % p == 0:
         raise ContractError(f"base {base} divisible by {p}; expansion terminates")
-    t = multiplicative_order(base % spec.modulus, spec).order
+    t = multiplicative_order(base, spec).order
+    v = _lifted_valuation(base, t, p, k)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before Python 3.10.7
+    if limit and (digits := _digits(t, p, k - v)) > limit:
+        raise ResourceLimitError(
+            f"the period of 1/{p}^{k} in base {base} has {digits} digits, "
+            f"over the interpreter's {limit}-digit limit for printing an int"
+        )
+    n = t * p ** (k - v)
     rep_len = None
-    if spec.modulus <= LONG_DIVISION_LIMIT:
-        rep_len = len(repetend_digits(1, spec.modulus, base))
-        if rep_len != t:
-            raise ArithmeticError(f"long division found period {rep_len}, order is {t}")
+    if k < LONG_DIVISION_LIMIT.bit_length() and p**k <= LONG_DIVISION_LIMIT:  # p**k > 2**k: k bounds it unbuilt
+        rep_len = len(repetend_digits(1, p**k, base))
+        if rep_len != n:
+            raise ArithmeticError(f"long division found period {rep_len}, order is {n}")
     return PeriodResult(
         base=base,
         p=p,
         k=k,
-        period=t,
-        maximal=t == spec.group_order,
+        period=n,
+        maximal=t == p - 1 and v == 1,
         repetend_length=rep_len,
     )
+
+
+def _lifted_valuation(base: int, t: int, p: int, k: int) -> int:
+    """min(k, v_p(base**t - 1)) for base**t = 1 mod p, read mod p**j for j doubling up to k.
+
+    v is 1 for almost every (base, p), so p**2 mostly suffices at any k.
+    """
+    j = 1
+    while j < k:
+        j = min(2 * j, k)
+        r = pow(base, t, p**j) - 1
+        if r:
+            v = 0
+            while r % p == 0:
+                r //= p
+                v += 1
+            return v
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import weakref
 from bisect import bisect_right
 from pathlib import Path
@@ -365,6 +366,16 @@ def test_factorize_recomposes_random():
         f = factorize(n)
         assert f.recompose() == n
         assert all(is_prime(p) for p, _ in f.factors)
+
+
+def test_brent_rho_gives_up_past_its_step_cap(monkeypatch):
+    # two 20-digit primes: rho would need some 10**10 steps to split them
+    n = 62547923166421707407 * 25564905056860924567
+    monkeypatch.setattr(arith, "RHO_STEPS", 1 << 10)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="no factor of a 40-digit cofactor in 1024 steps"):
+        factorize(n)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_factorize_recompose_check_raises(monkeypatch):

@@ -126,8 +126,7 @@ def test_survey_block_at_the_largest_kernel_primes():
 @pytest.mark.parametrize("primes, z", [((1009, 1013, 2147483647), 300), ((5, 7, 11), 12)])
 def test_survey_block_in_small_chunks(monkeypatch, primes, z):
     # one (p, q) pair per Lucas table and 7 columns per numpy pass
-    monkeypatch.setattr(_kernel, "KERNEL_CELLS", 1)
-    monkeypatch.setattr(_kernel, "KERNEL_CHUNK", 7)
+    monkeypatch.setattr(_kernel, "KERNEL_CELLS", 7)
     assert _survey_block(block(primes), z) == [survey_row(p, z) for p in primes]
 
 

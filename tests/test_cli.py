@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import primroot
 from primroot.cli import main
 from primroot.report import SCHEMA_VERSION, as_dict, render
 from primroot.surveys import SURVEY_COLUMNS, SurveyRow, stationary_survey
@@ -272,6 +276,36 @@ def test_a_large_modulus_that_is_no_prime_power_is_refused_at_once(capsys):
     assert err == "error: 300000000000000001940000000000000002091 does not have a cyclic unit group\n"
 
 
+def test_large_periods_answer_or_exit_2_at_once(capsys):
+    # 10 = 1 mod 3 and 10 - 1 = 3**2, so the period of 1/3^k is 3**(k - 2): 3817 digits
+    # at k = 8000, and 9542 at k = 20000, past the 4300 that int-to-str conversion takes
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "period", "--base", "10", "--p", "3", "--k", "8000", "--format", "json")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["period"] == 3**7998
+    rc, out, err = run_cli(capsys, "period", "--base", "10", "--p", "3", "--k", "20000")
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: the period of 1/3^20000 in base 10 has 9542 digits, "
+        "over the interpreter's 4300-digit limit for printing an int\n"
+    )
+    # 3**(10**7) alone takes seconds to build: v is read mod 3**2, the digits off log10
+    rc, out, err = run_cli(capsys, "period", "--base", "10", "--p", "3", "--k", "10000000")
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert "has 4771212 digits" in err
+
+
+def test_rho_past_its_step_cap_exits_2(capsys, monkeypatch):
+    # p - 1 = 2 * 62547923166421707407 * 25564905056860924567: rho meets a 40-digit semiprime
+    from primroot import arith
+
+    monkeypatch.setattr(arith, "RHO_STEPS", 1 << 12)
+    rc, out, err = run_cli(capsys, "least", "--p", "3198063434506805761572335654361544335539")
+    assert (rc, out) == (2, "")
+    assert err == "error: Brent rho found no factor of a 40-digit cofactor in 4096 steps\n"
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
@@ -356,3 +390,23 @@ def test_golden_bytes(capsys):
     assert out == GOLDEN_LEAST_40487
     rc, out, _ = run_cli(capsys, "survey", "--x", "10", "--z", "5", "--format", "csv")
     assert out == GOLDEN_SURVEY_X10_Z5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "survey --x 3000 --z 20 --format csv --workers 2",
+        "agreement --x 40000",
+        "least --p 40487 --format json",
+        "period --base 10 --p 7 --k 2 --format json",
+        "period --base 10 --p 3 --k 20000",
+    ],
+)
+def test_optimized_interpreter_prints_the_same_bytes(capsys, argv):
+    # python -O strips asserts: every check the CLI relies on is a raise
+    env = {**os.environ, "PYTHONPATH": str(Path(primroot.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "primroot.cli", *argv.split()],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == run_cli(capsys, *argv.split())

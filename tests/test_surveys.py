@@ -387,6 +387,19 @@ def test_period_stationary_bases_maximal():
                     assert rep.maximal, (base, p, k)
 
 
+def test_period_by_lifting_the_exponent_equals_the_order():
+    # the acceptance bases and primes, k <= 50, and three pairs whose v_p(base^t - 1) > 1
+    from primroot.modmath import multiplicative_order
+    from primroot.roots import CyclicGroupSpec
+
+    pairs = [(base, p) for p in primes_upto(50)[1:] for base in range(2, 13) if base % p]
+    for base, p in pairs + [(2, 1093), (3, 11), (5, 40487)]:
+        for k in range(1, 51):
+            spec = CyclicGroupSpec.for_prime_power(p, k)
+            order = multiplicative_order(base, spec).order
+            assert (period(base, p, k).period, period(base, p, k).maximal) == (order, order == spec.group_order)
+
+
 def test_repetend_matches_order_exhaustive():
     for p in primes_upto(60):
         if p == 2:
@@ -488,9 +501,50 @@ def test_one_block_starts_no_pool(monkeypatch):
     assert got == want
 
 
+def test_no_pool_beyond_one_cpu(monkeypatch):
+    # the agreement window of x = 20300 holds 8 blocks
+    import multiprocessing
+    import os
+
+    want = least_root_agreement(20300)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started on one CPU")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert least_root_agreement(20300, 2) == want
+
+
+def test_pool_is_no_larger_than_the_machine(monkeypatch):
+    import multiprocessing
+    import os
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, blocks):
+            return map(fn, blocks)
+
+    want = least_root_agreement(20300)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    assert least_root_agreement(20300, 64) == want
+    assert sizes == [2]
+
+
 def test_workers_under_spawn_equal_one_worker(monkeypatch):
     # a spawned worker gets the block function and its block by pickle alone;
-    # the agreement window holds 8 blocks and the survey's (z = 50) 3
+    # the agreement window holds 8 blocks and the survey's (z = 50) 2
     import multiprocessing
 
     want = least_root_agreement(20300), stationary_survey(3000, 50)
