@@ -25,7 +25,7 @@ from .arith import prime_windows, primes_upto
 from .errors import ContractError
 
 BATCH_PRIME_LIMIT = 1 << 31
-KERNEL_CELLS = 1 << 15  # the one cell bound of a survey: per window block, per numpy pass
+KERNEL_CELLS = 1 << 15  # the one cell bound of the kernel: per survey window block, per numpy pass
 
 
 def _batch_primes(primes) -> np.ndarray:
@@ -159,16 +159,17 @@ def _stationary_batch(u, primes, owner, q) -> np.ndarray:
     """Whether each residue u[i] (0 <= u[i] < p) is a stationary root of primes[i].
 
     (owner, q) lists every distinct prime q of p-1 for p = primes[owner].  The
-    Fermat quotient is computed only where the Lucas test passes.
+    Fermat quotient is computed only where the Lucas test passes.  Each pass
+    spans at most KERNEL_CELLS pairs, or KERNEL_CELLS roots.
     """
     p = _batch_primes(primes)
-    pp = p[owner]
-    chi = _pow_mod_batch(u[owner], (pp - 1) // q, pp)
     not_root = u == 0
-    not_root[owner[chi == 1]] = True
-    roots = ~not_root
+    for own, qs in zip(_chunks(owner, KERNEL_CELLS), _chunks(q, KERNEL_CELLS)):
+        pp = p[own]
+        not_root[own[_pow_mod_batch(u[own], (pp - 1) // qs, pp) == 1]] = True
     stationary = np.zeros(len(p), dtype=bool)
-    stationary[roots] = _fermat_quotient_batch(u[roots], p[roots]) != 0
+    for roots in _chunks(np.flatnonzero(~not_root), KERNEL_CELLS):
+        stationary[roots] = _fermat_quotient_batch(u[roots], p[roots]) != 0
     return stationary
 
 

@@ -51,12 +51,12 @@ RHO_STEPS = 1 << 22
 
 # primes_upto(n) reads the bytearray sieve below this n, the segmented sieve
 # from it on.  On a 2-core x86-64 host with numpy loaded, the byte sieve takes
-# 42 ms at 10**6 against 9 ms, about a quarter of the 110-180 ms that
-# importing numpy costs a process that needs it for nothing else; the two
-# break even for such a process near 3 * 10**6.
+# 26-35 ms at 10**6 against 6-8 ms in segments of 2**19, about a third of the
+# 65-115 ms that importing numpy costs a process that needs it for nothing
+# else; the two break even for such a process near 3 * 10**6 to 4 * 10**6.
 _SIEVE_CROSSOVER = 10**6
 
-DEFAULT_SEGMENT_SIZE = 1 << 20  # integers per sieve segment
+DEFAULT_SEGMENT_SIZE = 1 << 19  # integers per sieve segment
 DEFAULT_MAX_SPAN = 1 << 28  # widest [lo, hi] any sieve walk accepts
 # Bytes a bulk table's entries may take: int32 entries over the widest span.
 TABLE_BUDGET_BYTES = 4 * DEFAULT_MAX_SPAN
@@ -287,17 +287,14 @@ def _omega_mobius_segment(marks, big):
     """omega and mu over one segment of _segments, as int8 (mu = 1 at m = 0)."""
     import numpy as np
     w = np.zeros(len(big), dtype=np.int8)
-    mu = np.ones(len(big), dtype=np.int8)
+    squarefree = np.ones(len(big), dtype=np.int8)
     for p, q, off in marks:
         if q == p:
             w[off::p] += 1
-            mu[off::p] *= -1
         elif q == p * p:
-            mu[off::q] = 0
-    has_big = big > 1
-    w += has_big
-    np.negative(mu, out=mu, where=has_big)
-    return w, mu
+            squarefree[off::q] = 0
+    w += big > 1
+    return w, (1 - 2 * (w & 1)) * squarefree  # mu = (-1)**omega where squarefree
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:

@@ -140,7 +140,7 @@ def test_int_mod_matches_python(n):
 
 
 def test_fixed_g_density_past_a_block_with_no_prime():
-    # the second segment of [3, x] starts at 3 + 2**20 = 7 * 149797; the next prime is 2**20 + 7
+    # the second segment of [3, x] starts at 3 + 2**19 = 29 * 101 * 179; the next prime is 2**19 + 21
     x = 3 + arith.DEFAULT_SEGMENT_SIZE + 1
     assert not any(is_prime(n) for n in range(3 + arith.DEFAULT_SEGMENT_SIZE, x + 1))
     hits = 0
@@ -150,3 +150,27 @@ def test_fixed_g_density_past_a_block_with_no_prime():
         hits += _classify_unit(2, p, qs) is RootClass.STATIONARY
     rep = fixed_g_density(2, x)
     assert (rep.stationary_count, rep.prime_count) == (hits, len(primes))
+
+
+@pytest.mark.parametrize("g", [2, -3, 8])
+def test_fixed_g_density_in_small_passes(monkeypatch, g):
+    # 7 cells a pass over segments of 64: no Lucas or Fermat-quotient pass
+    # spans more, and the count is unchanged.  -3 and 8 classify g mod p, as
+    # the classify loop of test_fixed_g_density_equals_classify_loop does, so
+    # 8 counts p = 3 although 8**2 = 1 mod 9
+    x = 3000
+    primes = primes_upto(x)
+    hits = sum(1 for p in primes[1:] if g % p and classify(g % p, p) is RootClass.STATIONARY)
+    want = fixed_g_density(g, x)
+    assert (want.stationary_count, want.prime_count) == (hits, len(primes))
+    widths = []
+    for name in ("_pow_mod_batch", "_fermat_quotient_batch"):
+        def spy(a, *rest, _fn=getattr(_kernel, name)):
+            widths.append(len(a))
+            return _fn(a, *rest)
+
+        monkeypatch.setattr(_kernel, name, spy)
+    monkeypatch.setattr(_kernel, "KERNEL_CELLS", 7)
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT_SIZE", 64)
+    assert fixed_g_density(g, x) == want
+    assert max(widths) == 7

@@ -226,7 +226,7 @@ def test_omega_over_the_span_guard_exits_2_before_allocating(capsys, x):
         tracemalloc.stop()
     assert (rc, out) == (2, "")
     assert err == f"error: range width {x - 1} exceeds budget 268435456\n"
-    assert peak < 1 << 20  # one segment's cofactor buffer alone takes 4 MiB
+    assert peak < 1 << 20  # one segment's cofactor buffer alone takes 2 MiB
 
 
 @pytest.mark.parametrize("p", [10007, 1000000007])

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -597,3 +601,37 @@ def test_window_jobs_never_prove_or_factor(monkeypatch, job):
                 monkeypatch.setattr(module, name, counting)
     job()
     assert calls == []
+
+
+JOB_RSS = """
+import resource, sys
+import primroot._kernel, primroot.surveys as surveys
+job = {
+    "fixed-g": lambda: surveys.fixed_g_density(7, 10**6),
+    "omega": lambda: surveys.omega_sums(10**7),
+    "totient": lambda: surveys.totient_ratio_sum(10**6, 2),
+    "agreement": lambda: surveys.least_root_agreement(10**6),
+}[sys.argv[1]]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+job()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024)
+"""
+# What one job may add to the peak RSS of an interpreter with numpy and the
+# kernel loaded.  On a 2-core x86-64 host with numpy 2.4 the jobs below grew
+# it by 8.8, 9.3, 9.4 and 8.3 MiB; with segments of 2**20 and fixed-g's
+# kernel in one pass, by 24.9, 15.8, 14.3 and 11.6 MiB.
+JOB_GROWTH_BYTES = 12 << 20
+
+
+@pytest.mark.parametrize("job", ["fixed-g", "omega", "totient", "agreement"])
+def test_a_bulk_job_stays_inside_its_memory_bound(job):
+    # ru_maxrss counts KiB on Linux and is carried across execve, so a small
+    # interpreter in between keeps this test process's own peak out of the reading
+    env = {**os.environ, "PYTHONPATH": str(Path(surveys.__file__).parents[1])}
+    relay = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", relay, sys.executable, "-c", JOB_RSS, job],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    grown = int(done.stdout.split()[-1])
+    assert 0 < grown <= JOB_GROWTH_BYTES, grown
