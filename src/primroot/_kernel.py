@@ -7,11 +7,14 @@ bulk functions of `surveys` load it on their first call, so that
 Residues stay below p < 2**31, so every product stays below 2**62.  Mod p^2
 a residue a = a1*p + a0 is held as its base-p digits, and
     a*b = a0*b0 + p*(a0*b1 + a1*b0)  (mod p^2)
-with each product reduced mod p before the sum.  Both maps the test needs
-are completely multiplicative in g: the Lucas residues
-chi_q(g) = g^((p-1)/q) mod p multiply, and the Fermat quotient
+by two divisions: a0*b0 = hi*p + lo, then the high digit is
+(hi + a0*b1 + a1*b0) mod p, whose sum is at most (p-1)(2p-1) < 2**63.
+Both maps the test needs are completely multiplicative in g: the Lucas
+residues chi_q(g) = g^((p-1)/q) mod p multiply, and the Fermat quotient
 Q_p(g) = (g^(p-1) - 1)/p mod p adds (Eisenstein's logarithm property).
 A unit g is a root iff no chi_q(g) is 1, and stationary iff also Q_p(g) != 0.
+One chain mod p^2 gives both chi_2 and Q_p: y = g^((p-1)/2) mod p^2 has
+chi_2(g) = y mod p (Euler's criterion), and y^2 = 1 + p*Q_p(g).
 """
 
 from __future__ import annotations
@@ -51,26 +54,36 @@ def _pow_mod_batch(base, exp, p) -> np.ndarray:
 
 def _mul_mod_p2_batch(a1, a0, b1, b0, p):
     """(a1*p + a0) * (b1*p + b0) mod p^2, as base-p digits (high, low)."""
-    t = a0 * b0
-    return (t // p + a0 * b1 % p + a1 * b0 % p) % p, t % p
+    hi, lo = np.divmod(a0 * b0, p)
+    return (hi + a0 * b1 + a1 * b0) % p, lo
 
 
-def _fermat_quotient_batch(a, p) -> np.ndarray:
-    """Q_p(a) = (a**(p-1) - 1)/p mod p elementwise, for 0 <= a < p**2, p < 2**31.
+def _half_power_p2(a, p):
+    """a**((p-1)/2) mod p**2 elementwise, as base-p digits (high, low).
 
-    Meaningless where p divides a; callers mask those entries.
+    For 0 <= a < p**2 and odd p < 2**31.  The low digit is a**((p-1)/2) mod p.
     """
     a, p = np.broadcast_arrays(a, p)
-    b1, b0 = a // p, a % p
+    b1, b0 = np.divmod(a, p)
     r1, r0 = np.zeros(a.shape, dtype=np.int64), np.ones(a.shape, dtype=np.int64)
-    exp = p - 1
-    while exp.any():
+    exp = p >> 1
+    while True:
         odd = (exp & 1) == 1
         m1, m0 = _mul_mod_p2_batch(r1, r0, b1, b0, p)
         r1, r0 = np.where(odd, m1, r1), np.where(odd, m0, r0)
-        b1, b0 = _mul_mod_p2_batch(b1, b0, b1, b0, p)
         exp >>= 1
-    return r1  # a**(p-1) = 1 + p*Q_p(a) mod p^2
+        if not exp.any():
+            return r1, r0
+        b1, b0 = _mul_mod_p2_batch(b1, b0, b1, b0, p)
+
+
+def _fermat_quotient_batch(a, p) -> np.ndarray:
+    """Q_p(a) = (a**(p-1) - 1)/p mod p elementwise, for 0 <= a < p**2 and odd p < 2**31.
+
+    Meaningless where p divides a; callers mask those entries.
+    """
+    y1, y0 = _half_power_p2(a, p)
+    return _mul_mod_p2_batch(y1, y0, y1, y0, p)[0]  # a**(p-1) = 1 + p*Q_p(a) mod p^2
 
 
 def _chunks(a: np.ndarray, size: int):
@@ -100,30 +113,35 @@ def _g_levels(gmax: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]
     return spf, ell, levels
 
 
-def _fill_multiplicative(table: np.ndarray, gmax: int, at_primes, combine) -> None:
-    """table[:, g] for g in [2, gmax] from the columns at primes.
+def _fill_multiplicative(tables, gmax: int, at_primes, combines) -> None:
+    """Each table[:, g] for g in [2, gmax] from the columns at primes.
 
-    at_primes(ell) gives the columns at primes ell; combine(a, b) the column at
-    g = s * c from those at s = spf(g) and c, KERNEL_CELLS cells a pass.
+    at_primes(ell) gives every table's columns at primes ell, in one pass;
+    combines[k](a, b) gives table k's column at g = s * c from those at
+    s = spf(g) and c.  KERNEL_CELLS cells a pass per table.
     """
     spf, ell, levels = _g_levels(gmax)
-    size = max(1, KERNEL_CELLS // len(table))
+    size = max(1, KERNEL_CELLS // len(tables[0]))
     for cols in _chunks(ell, size):
-        table[:, cols] = at_primes(cols)
+        for table, at in zip(tables, at_primes(cols)):
+            table[:, cols] = at
     for level in levels:
         for n in _chunks(level, size):
-            s = spf[n]
-            table[:, n] = combine(table[:, s], table[:, n // s])
+            s, c = spf[n], n // spf[n]
+            for table, combine in zip(tables, combines):
+                table[:, n] = combine(table[:, s], table[:, c])
 
 
-def _count_roots_batch(primes, bounds, q, gmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary and nonstationary counts over g in [2, gmax], per odd prime.
+def _count_roots_batch(primes, bounds, q, gmax: int) -> tuple[np.ndarray, ...]:
+    """Per odd prime, over g in [2, gmax]: the stationary and nonstationary counts, the least root and stationary root.
 
     q[bounds[i] : bounds[i + 1]] lists the distinct primes of primes[i] - 1,
-    and gmax < p**2 for every p.  chi_q and Q_p are computed at the primes
-    l <= gmax only and filled in over the composites.  Tables hold int32
-    residues: Q_p for every prime, and chi_q for at most KERNEL_CELLS //
-    (gmax + 1) pairs (p, q) at a time, each folded into a not-root flag.
+    and gmax < p**2 for every p.  A least root above gmax reads 0.
+    chi_q and Q_p are computed at the primes l <= gmax only and filled in
+    over the composites.  chi_2, as a quadratic-residue flag, and Q_p come
+    from one chain mod p^2 for every prime.  The other chi_q are int32
+    tables for at most KERNEL_CELLS // (gmax + 1) pairs (p, q) at a time,
+    each folded into a not-root flag.
     """
     p = _batch_primes(primes)
     pc = p[:, None]
@@ -132,27 +150,37 @@ def _count_roots_batch(primes, bounds, q, gmax: int) -> tuple[np.ndarray, np.nda
     for i in np.flatnonzero(p <= gmax):
         not_root[i, :: p[i]] = True  # p | g: not a unit
     owner = np.repeat(np.arange(len(p)), np.diff(bounds))
+    odd = q != 2  # 2 | p - 1 for every odd p: chi_2 comes with Q_p below
+    owner, q = owner[odd], q[odd]
     rows = max(1, KERNEL_CELLS // width)
     for lo in range(0, len(owner), rows):
         own = owner[lo : lo + rows]
         pq = p[own, None]
         chi = np.zeros((len(own), width), dtype=np.int32)
         _fill_multiplicative(
-            chi, gmax,
-            lambda ell: _pow_mod_batch(ell % pq, (pq - 1) // q[lo : lo + rows, None], pq),
-            lambda a, b: a.astype(np.int64) * b % pq,
+            (chi,), gmax,
+            lambda ell: (_pow_mod_batch(ell % pq, (pq - 1) // q[lo : lo + rows, None], pq),),
+            (lambda a, b: a.astype(np.int64) * b % pq,),
         )
         starts = np.flatnonzero(np.diff(own, prepend=-1))  # own is sorted: one run per prime
         not_root[own[starts]] |= np.logical_or.reduceat(chi == 1, starts)
+    residue = np.zeros((len(p), width), dtype=bool)
     fq = np.zeros((len(p), width), dtype=np.int32)
+
+    def at_primes(ell):
+        y1, y0 = _half_power_p2(ell.astype(np.int64), pc)
+        return y0 == 1, _mul_mod_p2_batch(y1, y0, y1, y0, pc)[0]
+
     _fill_multiplicative(
-        fq, gmax,
-        lambda ell: _fermat_quotient_batch(ell.astype(np.int64), pc),
-        lambda a, b: (a.astype(np.int64) + b) % pc,
+        (residue, fq), gmax, at_primes,
+        (np.equal, lambda a, b: (a.astype(np.int64) + b) % pc),
     )
-    roots = ~not_root[:, 2:]
-    n_s = np.count_nonzero(roots & (fq[:, 2:] != 0), axis=1)
-    return n_s, np.count_nonzero(roots, axis=1) - n_s
+    not_root |= residue
+    not_root[:, :2] = True  # g = 0, 1: argmax then reads the least root, or 0 for none
+    roots = ~not_root
+    stationary = roots & (fq != 0)
+    n_s = np.count_nonzero(stationary, axis=1)
+    return n_s, np.count_nonzero(roots, axis=1) - n_s, roots.argmax(axis=1), stationary.argmax(axis=1)
 
 
 def _stationary_batch(u, primes, owner, q) -> np.ndarray:

@@ -9,6 +9,7 @@ configurations produce byte-identical output regardless of --workers.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -312,5 +313,17 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def entry() -> None:
+    """The process entry of `primroot` and `python -m primroot.cli`: main, then exit with its status.
+
+    gc.freeze() spares the collection at interpreter exit the heap left by
+    main (numpy and the loaded modules); stdout is still flushed and atexit
+    still runs.  main never freezes: tests call it in-process.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

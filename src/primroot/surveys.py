@@ -32,13 +32,13 @@ from .roots import CyclicGroupSpec, LeastRoots, _least_roots
 if TYPE_CHECKING:  # fractions, and decimal with it, loads only in totient_ratio_sum
     from fractions import Fraction
 
-# Peak bytes per g in one worker of stationary_survey: the cached g tables
-# (8), an int32 Fermat quotient and Lucas residue row, a not-root flag and
-# temporaries.  tracemalloc measured 30.6 at 2z = 2e4, 21.5 at 2e6 and 20.3
-# at 6e6, for one prime with nine primes in p-1 (the most below 2**29).
-# Below 2z = 1.8e4 one fill pass of up to KERNEL_CELLS cells takes more per g
-# (56 at 2z = 1e4), but under 1 MB in all.
-SURVEY_CELL_BYTES = 32
+# Peak bytes of one stationary_survey worker per column, for 2z columns of g
+# and KERNEL_CELLS more for one block of (p, g) cells: the cached g tables,
+# the rows of a block, and a fill pass of up to KERNEL_CELLS cells.
+# tracemalloc read, per column, 34.6 for a block of 256 primes at 2z = 128
+# (the most), and for one prime with nine primes in p-1 (the most below
+# 2**29) 14.0 at 2z = 1e4, 12.9 at 2e4 and 21.1 at 2e6.
+SURVEY_CELL_BYTES = 36
 PROGRESS_EVERY = 256  # rows between progress reports
 TOTIENT_SLICE = 1 << 14  # primes per list handed to the totient sums
 
@@ -246,11 +246,20 @@ def _least_block(block) -> list[LeastRoots]:
 
 
 def _survey_block(block, z: int) -> list[SurveyRow]:
-    """The survey row of each prime of a block, by the batch kernel."""
+    """The survey row of each prime of a block, by the batch kernel.
+
+    The least roots come from the kernel's rows, or from a scan of the prime
+    whose least stationary root exceeds 2z.
+    """
     from ._kernel import _count_roots_batch
-    n_s, n_n = _count_roots_batch(*block, 2 * z)
-    rows = zip(n_s.tolist(), n_n.tolist(), _least_block(block))
-    return [SurveyRow(p=r.p, z=z, n_pr=s + n, n_s=s, n_n=n, g=r.g, h=r.h, gs=r.gs) for s, n, r in rows]
+    p, bounds, q = block
+    cuts, qs = bounds.tolist(), q.tolist()
+    n_s, n_n, g, h = (a.tolist() for a in _count_roots_batch(*block, 2 * z))
+    rows = []
+    for i, x in enumerate(p.tolist()):
+        r = LeastRoots(x, g[i], h[i], h[i]) if h[i] else _least_roots(x, qs[cuts[i] : cuts[i + 1]])
+        rows.append(SurveyRow(p=x, z=z, n_pr=n_s[i] + n_n[i], n_s=n_s[i], n_n=n_n[i], g=r.g, h=r.h, gs=r.gs))
+    return rows
 
 
 def _disagreements_block(block) -> list[LeastRoots]:
@@ -310,12 +319,14 @@ def stationary_survey(
     Rows are ordered by p and aggregates are summed in that order, so the
     output is identical for any worker count.
     """
-    from ._kernel import _g_levels, _window
+    from ._kernel import KERNEL_CELLS, _g_levels, _window
     if x < 2 or z < 2:
         raise ContractError("need x >= 2 and z >= 2")
     _require_workers(workers)
-    # every worker holds the g tables and at least one prime's block
-    _check_table_budget(2 * z * workers, SURVEY_CELL_BYTES, "survey columns (2z x workers)")
+    # every worker holds the g tables and one block
+    _check_table_budget(
+        (2 * z + KERNEL_CELLS) * workers, SURVEY_CELL_BYTES, "survey columns ((2z + KERNEL_CELLS) x workers)"
+    )
     window = _window(x, 2 * x)
     n_p = len(window[0])
     if not n_p:

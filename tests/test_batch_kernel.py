@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primroot import _kernel, arith
+from primroot import _kernel, arith, surveys
 from primroot._kernel import (
     BATCH_PRIME_LIMIT,
     _batch_primes,
     _fermat_quotient_batch,
+    _half_power_p2,
     _int_mod,
+    _mul_mod_p2_batch,
     _pow_mod_batch,
 )
 from primroot.arith import factorize, is_prime, primes_upto
@@ -81,6 +83,32 @@ def test_kernel_pow_and_fermat_quotient_match_python(p, data):
         assert got == [fermat_quotient(a, p) for a in units]
 
 
+@pytest.mark.parametrize("p", TOP_PRIMES)
+def test_mul_mod_p2_at_the_largest_kernel_primes(p):
+    # every digit p - 1 puts the high digit's sum at its bound (p-1)(2p-1) < 2**63
+    top = p - 1
+    digits = [
+        (top, top, top, top), (top, top, 0, top), (0, top, top, top),
+        (top, 0, top, 0), (top, 1, 1, top), (0, 0, top, top),
+    ]
+    a1, a0, b1, b0 = (np.array(d, dtype=np.int64) for d in zip(*digits))
+    hi, lo = _mul_mod_p2_batch(a1, a0, b1, b0, p)
+    want = [divmod((x1 * p + x0) * (y1 * p + y0) % (p * p), p) for x1, x0, y1, y0 in digits]
+    assert list(zip(hi.tolist(), lo.tolist())) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=odd_primes, data=st.lists(st.integers(0, 2**62), min_size=1, max_size=30))
+@example(p=3, data=[0, 1, 2, 3, 8])
+@example(p=2147483647, data=[2147483646, 2147483647**2 - 1, 2147483648])
+def test_half_power_p2_matches_python_and_euler(p, data):
+    a = [x % (p * p) for x in data]
+    hi, lo = _half_power_p2(np.array(a, dtype=np.int64), p)
+    e = (p - 1) // 2
+    assert [h * p + lo_ for h, lo_ in zip(hi.tolist(), lo.tolist())] == [pow(x, e, p * p) for x in a]
+    assert lo.tolist() == [pow(x, e, p) for x in a]  # Euler's criterion: 1, p - 1, or 0 where p | a
+
+
 def test_kernel_refuses_primes_outside_its_domain():
     assert _batch_primes(TOP_PRIMES).dtype == np.int64
     with pytest.raises(ContractError, match="2\\*\\*31"):
@@ -128,6 +156,32 @@ def test_survey_block_in_small_chunks(monkeypatch, primes, z):
     # one (p, q) pair per Lucas table and 7 columns per numpy pass
     monkeypatch.setattr(_kernel, "KERNEL_CELLS", 7)
     assert _survey_block(block(primes), z) == [survey_row(p, z) for p in primes]
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The primes whose least roots _survey_block takes from the scalar scan."""
+    primes = []
+
+    def spy(p, qs, _fn=surveys._least_roots):
+        primes.append(p)
+        return _fn(p, qs)
+
+    monkeypatch.setattr(surveys, "_least_roots", spy)
+    return primes
+
+
+@pytest.mark.parametrize("p, z", [(40487, 4), (41, 2)])
+def test_survey_block_scans_a_prime_whose_least_roots_pass_2z(scanned, p, z):
+    # 40487: g = 5 <= 2z but h = 10 is not; 41: g = 6 > 2z already
+    assert _survey_block(block((p,)), z) == [survey_row(p, z)]
+    assert scanned == [p]
+
+
+def test_survey_reads_every_least_root_off_the_kernel_at_the_benchmark_size(scanned):
+    rep = stationary_survey(10**4, 100)
+    assert scanned == []
+    assert max(r.h for r in rep.rows) <= 200
 
 
 @settings(max_examples=40, deadline=None)

@@ -410,3 +410,22 @@ def test_optimized_interpreter_prints_the_same_bytes(capsys, argv):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert (done.returncode, done.stdout, done.stderr) == run_cli(capsys, *argv.split())
+
+
+def test_the_process_entry_writes_everything_before_it_exits(tmp_path, capsys):
+    # entry() freezes the heap after main returns: the --output file, stdout
+    # and the exit status of a process are those of main in-process
+    env = {**os.environ, "PYTHONPATH": str(Path(primroot.__file__).parents[1])}
+    target = tmp_path / "survey.csv"
+    argv = ["survey", "--x", "3000", "--z", "20", "--format", "csv"]
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "primroot.cli", *args], env=env, capture_output=True, text=True, timeout=120
+        )
+        for args in (argv, [*argv, "--output", str(target)], ["least", "--p", "42"])
+    ]
+    assert [r.returncode for r in runs] == [0, 0, 2]
+    _, want, _ = run_cli(capsys, *argv)
+    assert runs[0].stdout == target.read_text() == want
+    assert runs[1].stdout == ""
+    assert runs[2].stderr.startswith("error: ")

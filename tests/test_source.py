@@ -188,3 +188,24 @@ def test_only_report_knows_the_output_format():
         if use != "relative import" or name == "report.py"
     )
     assert found == ["report.py:json"]
+
+
+def freeze_uses(node, scope=()):
+    """(qualified name of the function around it) of each use of gc.freeze under node."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Attribute) and child.attr == "freeze" and ast.unparse(child.value) == "gc") or (
+            isinstance(child, ast.ImportFrom) and child.module == "gc"
+        ):
+            yield ".".join(scope)
+        named = isinstance(child, DEFINITIONS)
+        yield from freeze_uses(child, scope + (child.name,) if named else scope)
+
+
+def test_only_the_cli_entry_freezes_the_heap():
+    # gc.freeze keeps every live object out of later collections, so only
+    # the process entry may call it, after main has returned; a library
+    # call, or main, which tests run in-process, must not
+    found = [f"{name}:{where}" for name, tree in modules() for where in freeze_uses(tree)]
+    assert found == ["cli.py:entry"]
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text()
+    assert 'primroot = "primroot.cli:entry"' in pyproject  # the console script enters there too

@@ -3,13 +3,14 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import mobius, naive_classify_counts, naive_order, naive_repetend_length
-from primroot import arith, surveys
+from primroot import _kernel, arith, surveys
 from primroot.arith import (
     euler_phi,
     factorize,
@@ -168,6 +169,35 @@ def test_survey_refuses_z_over_budget():
     # every worker holds its own g tables
     with pytest.raises(ResourceLimitError, match="budget"):
         stationary_survey(10**8, 6 * 10**6, workers=3)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, twice_z",
+    [
+        (300690391, 300690391, 10**4),  # one prime, nine primes in p - 1: the most below 2**29
+        (300690391, 300690391, 2 * 10**6),
+        (300_000_000, 300_006_000, 128),  # a block of 256 primes, the most (p, g) cells one holds
+    ],
+)
+def test_survey_charge_covers_the_peak_of_each_block(lo, hi, twice_z):
+    # tracemalloc's peak of one worker's block, its g tables built afresh
+    peaks = []
+
+    def measured(block):
+        _kernel._g_levels.cache_clear()
+        tracemalloc.start()
+        try:
+            surveys._survey_block(block, twice_z // 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return []
+
+    try:
+        surveys._window_map(measured, _kernel._window(lo, hi), twice_z, 1)
+    finally:
+        _kernel._g_levels.cache_clear()
+    assert max(peaks) <= surveys.SURVEY_CELL_BYTES * (twice_z + _kernel.KERNEL_CELLS), peaks
 
 
 @pytest.mark.parametrize("workers", [0, -2])
