@@ -183,22 +183,46 @@ def _count_roots_batch(primes, bounds, q, gmax: int) -> tuple[np.ndarray, ...]:
     return n_s, np.count_nonzero(roots, axis=1) - n_s, roots.argmax(axis=1), stationary.argmax(axis=1)
 
 
-def _stationary_batch(u, primes, owner, q) -> np.ndarray:
-    """Whether each residue u[i] (0 <= u[i] < p) is a stationary root of primes[i].
+def _stationary_batch(u, primes, owner, q) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each residue u[i] (0 <= u[i] < p**2) is a root, and a stationary root, of primes[i].
 
     (owner, q) lists every distinct prime q of p-1 for p = primes[owner].  The
-    Fermat quotient is computed only where the Lucas test passes.  Each pass
-    spans at most KERNEL_CELLS pairs, or KERNEL_CELLS roots.
+    Lucas test reads u mod p, the Fermat quotient (only where that passes) u
+    itself.  Each pass spans at most KERNEL_CELLS pairs, or KERNEL_CELLS roots.
     """
     p = _batch_primes(primes)
-    not_root = u == 0
+    r = u % p
+    root = r != 0
     for own, qs in zip(_chunks(owner, KERNEL_CELLS), _chunks(q, KERNEL_CELLS)):
         pp = p[own]
-        not_root[own[_pow_mod_batch(u[own], (pp - 1) // qs, pp) == 1]] = True
+        root[own[_pow_mod_batch(r[own], (pp - 1) // qs, pp) == 1]] = False
     stationary = np.zeros(len(p), dtype=bool)
-    for roots in _chunks(np.flatnonzero(~not_root), KERNEL_CELLS):
+    for roots in _chunks(np.flatnonzero(root), KERNEL_CELLS):
         stationary[roots] = _fermat_quotient_batch(u[roots], p[roots]) != 0
-    return stationary
+    return root, stationary
+
+
+def _least_roots_batch(primes, bounds, q) -> tuple[np.ndarray, np.ndarray]:
+    """The least root g and least stationary root h of each odd prime, by a scan from 2.
+
+    (bounds, q) as for _count_roots_batch.  Each candidate c is tested on the
+    primes still without h, for which c <= h < p**2, and a prime leaves the
+    scan with its (p, q) pairs once c is its h.
+    """
+    p = _batch_primes(primes)
+    g, h = np.zeros((2, len(p)), dtype=np.int64)
+    left = np.arange(len(p))
+    owner = np.repeat(left, np.diff(bounds))  # into left
+    c = 2
+    while len(left):
+        root, stationary = _stationary_batch(np.full(len(left), c), p[left], owner, q)
+        g[left[root & (g[left] == 0)]] = c
+        h[left[stationary]] = c
+        stay = ~stationary
+        pairs = stay[owner]
+        left, owner, q = left[stay], (np.cumsum(stay) - 1)[owner[pairs]], q[pairs]
+        c += 1
+    return g, h
 
 
 # ---------------------------------------------------------------------------

@@ -223,11 +223,7 @@ def least_roots(p: int) -> LeastRoots:
     the full generator test whenever the candidate already generates mod p;
     a generator mod p^2 always reduces to one mod p, so gs coincides with h.
     """
-    return _least_roots(p, [q for q, _ in CyclicGroupSpec.for_prime(p).order_factorization.factors])
-
-
-def _least_roots(p: int, primes_p1) -> LeastRoots:
-    """least_roots, unchecked like _classify_unit: p is an odd prime, primes_p1 those of p-1."""
+    primes_p1 = [q for q, _ in CyclicGroupSpec.for_prime(p).order_factorization.factors]
     g = h = 0
     cand = 2
     while h == 0:

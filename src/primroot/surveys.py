@@ -27,7 +27,7 @@ from .arith import (
 from .errors import ContractError, ResourceLimitError
 from .modmath import multiplicative_order
 from .report import Report
-from .roots import CyclicGroupSpec, LeastRoots, _least_roots
+from .roots import CyclicGroupSpec, LeastRoots
 
 if TYPE_CHECKING:  # fractions, and decimal with it, loads only in totient_ratio_sum
     from fractions import Fraction
@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # fractions, and decimal with it, loads only in totient_ratio
 # (the most), and for one prime with nine primes in p-1 (the most below
 # 2**29) 14.0 at 2z = 1e4, 12.9 at 2e4 and 21.1 at 2e6.
 SURVEY_CELL_BYTES = 36
-PROGRESS_EVERY = 256  # rows between progress reports
+PROGRESS_EVERY = 256  # primes between progress reports
 TOTIENT_SLICE = 1 << 14  # primes per list handed to the totient sums
 
 FIXED_POINT_BITS = 128  # fractional bits for large accumulations
@@ -238,37 +238,32 @@ class StationarySurveyReport(Report):
     nn_per_z2: float
 
 
-def _least_block(block) -> list[LeastRoots]:
-    """The least roots of each prime of a block (p, bounds, q) of the window."""
-    p, bounds, q = block
-    cuts, qs = bounds.tolist(), q.tolist()
-    return [_least_roots(x, qs[a:b]) for x, a, b in zip(p.tolist(), cuts, cuts[1:])]
-
-
 def _survey_block(block, z: int) -> list[SurveyRow]:
     """The survey row of each prime of a block, by the batch kernel.
 
-    The least roots come from the kernel's rows, or from a scan of the prime
-    whose least stationary root exceeds 2z.
+    The least roots come from the kernel's rows, or from one scan of the
+    whole block if some prime's least stationary root exceeds 2z.
     """
-    from ._kernel import _count_roots_batch
-    p, bounds, q = block
-    cuts, qs = bounds.tolist(), q.tolist()
-    n_s, n_n, g, h = (a.tolist() for a in _count_roots_batch(*block, 2 * z))
-    rows = []
-    for i, x in enumerate(p.tolist()):
-        r = LeastRoots(x, g[i], h[i], h[i]) if h[i] else _least_roots(x, qs[cuts[i] : cuts[i + 1]])
-        rows.append(SurveyRow(p=x, z=z, n_pr=n_s[i] + n_n[i], n_s=n_s[i], n_n=n_n[i], g=r.g, h=r.h, gs=r.gs))
-    return rows
+    from ._kernel import _count_roots_batch, _least_roots_batch
+    n_s, n_n, g, h = _count_roots_batch(*block, 2 * z)
+    if not h.all():
+        g, h = _least_roots_batch(*block)
+    return [
+        SurveyRow(p=x, z=z, n_pr=s + n, n_s=s, n_n=n, g=a, h=b, gs=b)
+        for x, s, n, a, b in zip(block[0].tolist(), n_s.tolist(), n_n.tolist(), g.tolist(), h.tolist())
+    ]
 
 
 def _disagreements_block(block) -> list[LeastRoots]:
     """The least roots of the block's primes with g(p) != h(p)."""
-    return [r for r in _least_block(block) if r.g != r.h]
+    from ._kernel import _least_roots_batch
+    g, h = _least_roots_batch(*block)
+    return [LeastRoots(x, a, b, b) for x, a, b in zip(block[0].tolist(), g.tolist(), h.tolist()) if a != b]
 
 
 def _gs_block(block) -> list[tuple[int, int]]:
-    return [(r.p, r.gs) for r in _least_block(block)]
+    from ._kernel import _least_roots_batch
+    return list(zip(block[0].tolist(), _least_roots_batch(*block)[1].tolist()))
 
 
 def _require_workers(workers: int) -> None:
@@ -277,18 +272,17 @@ def _require_workers(workers: int) -> None:
 
 
 def _window_map(fn, window, cells: int, workers: int, progress=None) -> list:
-    """Concatenated fn(block) over the window, whose primes cost `cells` (p, g) pairs each, in order.
+    """Concatenated fn(block) over the window, whose primes cost `cells` kernel cells each, in order.
 
     A block is a slice of the window's arrays, in the window's own form
     (p, bounds, q) with bounds rebased to 0.  progress(done, total) is called
-    whenever the count of primes done passes a multiple of PROGRESS_EVERY.
-    A block holds PROGRESS_EVERY primes, or the largest power of two of them
-    whose pairs fit KERNEL_CELLS if that is fewer, so block ends fall on its
-    multiples.  The pool gets at most one process per block and per CPU.
+    at each multiple of PROGRESS_EVERY that the count of primes done passes.
+    A block holds the largest power of two of primes whose cells fit
+    KERNEL_CELLS.  The pool gets at most one process per block and per CPU.
     """
     from ._kernel import KERNEL_CELLS
     p, bounds, q = window
-    size = min(PROGRESS_EVERY, 1 << (max(1, KERNEL_CELLS // cells).bit_length() - 1))
+    size = 1 << (max(1, KERNEL_CELLS // cells).bit_length() - 1)
     cuts = [*range(0, len(p), size), len(p)]
     blocks = ((p[i:j], bounds[i : j + 1] - bounds[i], q[bounds[i] : bounds[j]]) for i, j in zip(cuts, cuts[1:]))
     workers = min(workers, len(cuts) - 1, os.cpu_count() or 1)
@@ -306,8 +300,9 @@ def _collect(results, size: int, total: int, progress) -> list:
     for res in results:
         out.extend(res)
         before, done = done, min(done + size, total)
-        if progress and done // PROGRESS_EVERY > before // PROGRESS_EVERY:
-            progress(done, total)
+        if progress:
+            for k in range(before // PROGRESS_EVERY + 1, done // PROGRESS_EVERY + 1):
+                progress(k * PROGRESS_EVERY, total)
     return out
 
 
@@ -334,7 +329,7 @@ def stationary_survey(
     if 2 * z >= int(window[0][0]) ** 2:
         raise ContractError(f"2z = {2 * z} reaches p^2 for p = {window[0][0]}")
     try:
-        rows = _window_map(partial(_survey_block, z=z), window, 2 * z, workers, progress)
+        rows = _window_map(partial(_survey_block, z=z), window, 2 * z + 1, workers, progress)
     finally:
         _g_levels.cache_clear()  # the g tables of this z are not needed again
     n_s = sum(r.n_s for r in rows)
@@ -414,7 +409,7 @@ def fixed_g_density(g: int, x: int) -> FixedGDensity:
     prime_count = 1  # p = 2 counts in the denominator only
     hits = 0
     for p, owner, q in prime_windows(3, x):
-        hits += int(_stationary_batch(_int_mod(g, p), p, owner, q).sum())
+        hits += int(_stationary_batch(_int_mod(g, p), p, owner, q)[1].sum())
         prime_count += len(p)
     return FixedGDensity(
         g=g,

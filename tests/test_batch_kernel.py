@@ -7,17 +7,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primroot import _kernel, arith, surveys
+from primroot import _kernel, arith
 from primroot._kernel import (
     BATCH_PRIME_LIMIT,
     _batch_primes,
     _fermat_quotient_batch,
     _half_power_p2,
     _int_mod,
+    _least_roots_batch,
     _mul_mod_p2_batch,
     _pow_mod_batch,
+    _stationary_batch,
+    _window,
 )
-from primroot.arith import factorize, is_prime, primes_upto
+from primroot.arith import factorize, is_prime, primes_in_range, primes_upto
 from primroot.errors import ContractError
 from primroot.roots import RootClass, _classify_unit, classify, least_roots
 from primroot.surveys import SurveyRow, _survey_block, fixed_g_density, stationary_survey
@@ -158,30 +161,80 @@ def test_survey_block_in_small_chunks(monkeypatch, primes, z):
     assert _survey_block(block(primes), z) == [survey_row(p, z) for p in primes]
 
 
+@pytest.mark.parametrize("twice_z", [128, 200])
+def test_every_survey_block_fits_the_kernel_cells(monkeypatch, twice_z):
+    # the kernel holds 2z + 1 columns a prime, g = 0 to 2z; [3000, 6000] holds 353 primes
+    cells = []
+
+    def spy(primes, bounds, q, gmax, _fn=_kernel._count_roots_batch):
+        cells.append(len(primes) * (gmax + 1))
+        return _fn(primes, bounds, q, gmax)
+
+    monkeypatch.setattr(_kernel, "_count_roots_batch", spy)
+    stationary_survey(3000, twice_z // 2)
+    assert len(cells) > 1 and max(cells) <= _kernel.KERNEL_CELLS, cells
+
+
 @pytest.fixture
 def scanned(monkeypatch):
-    """The primes whose least roots _survey_block takes from the scalar scan."""
-    primes = []
+    """The primes of each block that the least-root scan runs over."""
+    blocks = []
 
-    def spy(p, qs, _fn=surveys._least_roots):
-        primes.append(p)
-        return _fn(p, qs)
+    def spy(p, bounds, q, _fn=_kernel._least_roots_batch):
+        blocks.append(p.tolist())
+        return _fn(p, bounds, q)
 
-    monkeypatch.setattr(surveys, "_least_roots", spy)
-    return primes
+    monkeypatch.setattr(_kernel, "_least_roots_batch", spy)
+    return blocks
 
 
 @pytest.mark.parametrize("p, z", [(40487, 4), (41, 2)])
 def test_survey_block_scans_a_prime_whose_least_roots_pass_2z(scanned, p, z):
     # 40487: g = 5 <= 2z but h = 10 is not; 41: g = 6 > 2z already
     assert _survey_block(block((p,)), z) == [survey_row(p, z)]
-    assert scanned == [p]
+    assert scanned == [[p]]
 
 
 def test_survey_reads_every_least_root_off_the_kernel_at_the_benchmark_size(scanned):
     rep = stationary_survey(10**4, 100)
     assert scanned == []
     assert max(r.h for r in rep.rows) <= 200
+
+
+def least_roots_by_scan(window) -> list[tuple[int, int, int]]:
+    g, h = _least_roots_batch(*window)
+    return list(zip(window[0].tolist(), g.tolist(), h.tolist()))
+
+
+@pytest.mark.parametrize("lo, hi", [(3, 3), (3, 10), (1000, 2000), (20300, 40600)])
+def test_least_roots_batch_equals_least_roots(lo, hi):
+    # [20300, 40600] holds 40487, whose least root 5 is not its least root mod p^2, 10
+    want = [(r.p, r.g, r.h) for r in map(least_roots, primes_in_range(lo, hi))]
+    assert least_roots_by_scan(_window(lo, hi)) == want
+
+
+@pytest.mark.parametrize("cells", [7, _kernel.KERNEL_CELLS])
+def test_least_roots_batch_at_the_largest_kernel_primes_and_in_small_passes(monkeypatch, cells):
+    # 7 (p, q) pairs a pass split the pairs of one prime across passes
+    monkeypatch.setattr(_kernel, "KERNEL_CELLS", cells)
+    primes = (*TOP_PRIMES, 1009, 40487, 3)
+    assert least_roots_by_scan(block(primes)) == [(r.p, r.g, r.h) for r in map(least_roots, primes)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 43])
+def test_stationary_batch_reads_u_mod_p_and_u_itself(p):
+    # u = p is no unit; u = p + 2 and p^2 - 1 are units whose p^2 test reads u, not u mod p
+    u = [p, p + 2, p * p - 1]
+    want = [classify(x, p) for x in u]
+    b = block([p] * len(u))
+    owner = np.repeat(np.arange(len(u)), np.diff(b[1]))
+    root, stationary = _stationary_batch(np.array(u, dtype=np.int64), b[0], owner, b[2])
+    got = [
+        RootClass.NOT_COPRIME if x % p == 0
+        else RootClass.STATIONARY if s else RootClass.NONSTATIONARY if r else RootClass.NOT_ROOT
+        for x, r, s in zip(u, root.tolist(), stationary.tolist())
+    ]
+    assert got == want
 
 
 @settings(max_examples=40, deadline=None)

@@ -209,3 +209,24 @@ def test_only_the_cli_entry_freezes_the_heap():
     assert found == ["cli.py:entry"]
     pyproject = (SRC.parents[1] / "pyproject.toml").read_text()
     assert 'primroot = "primroot.cli:entry"' in pyproject  # the console script enters there too
+
+
+def test_every_window_scan_classifies_through_the_kernel():
+    # surveys takes no private name from roots, and no module keeps a scalar
+    # least-roots scan beside least_roots
+    trees = dict(modules())
+    private = [
+        alias.name
+        for node in ast.walk(trees["surveys.py"])
+        if isinstance(node, ast.ImportFrom) and node.level and node.module == "roots"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+    scans = [
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, DEFINITIONS) and node.name == "_least_roots"
+    ]
+    assert scans == []

@@ -509,8 +509,9 @@ def test_least_gs_envelope():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_least_root_scans_over_small_blocks_and_segments(monkeypatch, workers):
-    # blocks of 3 primes cut across segments of 64: every block's bounds are rebased
-    monkeypatch.setattr(surveys, "PROGRESS_EVERY", 3)
+    # blocks of 4 primes cut across segments of 64, so every block's bounds are
+    # rebased, and passes of 5 (p, q) pairs cut across primes
+    monkeypatch.setattr(_kernel, "KERNEL_CELLS", 5)
     monkeypatch.setattr(arith, "DEFAULT_SEGMENT_SIZE", 64)
     x = 20300  # the window [x, 2x] holds 40487, whose g and h differ
     want = [r for r in map(least_roots, primes_in_range(x, 2 * x)) if r.g != r.h]
@@ -536,11 +537,12 @@ def test_one_block_starts_no_pool(monkeypatch):
 
 
 def test_no_pool_beyond_one_cpu(monkeypatch):
-    # the agreement window of x = 20300 holds 8 blocks
+    # at 256 cells the agreement window of x = 20300 holds 8 blocks
     import multiprocessing
     import os
 
     want = least_root_agreement(20300)
+    monkeypatch.setattr(_kernel, "KERNEL_CELLS", 256)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started on one CPU")
@@ -570,15 +572,31 @@ def test_pool_is_no_larger_than_the_machine(monkeypatch):
             return map(fn, blocks)
 
     want = least_root_agreement(20300)
+    monkeypatch.setattr(_kernel, "KERNEL_CELLS", 256)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     assert least_root_agreement(20300, 64) == want
     assert sizes == [2]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_progress_reports_each_multiple_of_256_primes(workers):
+    # a block of least-root scans holds 32768 primes, so one block passes several multiples
+    def progress_of(job):
+        calls = []
+        job(lambda done, total: calls.append((done, total)))
+        return calls
+
+    agreement = progress_of(lambda cb: least_root_agreement(10**4, workers, cb))
+    assert agreement == [(k, 1033) for k in (256, 512, 768, 1024)]
+    assert progress_of(lambda cb: least_gs_stats(3000, workers, cb)) == [(256, 429)]
+    assert progress_of(lambda cb: stationary_survey(3000, 20, workers, cb)) == [(256, 353)]
+
+
 def test_workers_under_spawn_equal_one_worker(monkeypatch):
     # a spawned worker gets the block function and its block by pickle alone;
-    # the agreement window holds 8 blocks and the survey's (z = 50) 2
+    # the survey's window (z = 50) holds 2 blocks, and the agreement window
+    # one, which runs in process
     import multiprocessing
 
     want = least_root_agreement(20300), stationary_survey(3000, 50)
